@@ -17,7 +17,7 @@ import random
 import sys
 from fractions import Fraction
 
-from grpinv.arith import iter_odd_primes, rational_from_decimal
+from grpinv.arith import iter_odd_primes
 from grpinv.density import approximate_beta
 from grpinv.errors import ConvergenceError
 
@@ -25,16 +25,15 @@ from grpinv.errors import ConvergenceError
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--targets", type=int, default=200)
-    parser.add_argument("--eps", default="0.0001")
-    parser.add_argument("--low", default="0.05")
-    parser.add_argument("--high", default="0.99")
+    # Fraction parses decimal and exponent literals ("1e-4") exactly.
+    parser.add_argument("--eps", type=Fraction, default="0.0001")
+    parser.add_argument("--low", type=Fraction, default="0.05")
+    parser.add_argument("--high", type=Fraction, default="0.99")
     parser.add_argument("--prime-cap", type=int, default=10**6)
     parser.add_argument("--seed", type=int, default=20250818)
     args = parser.parse_args()
 
-    eps = rational_from_decimal(args.eps)
-    low = rational_from_decimal(args.low)
-    high = rational_from_decimal(args.high)
+    eps, low, high = args.eps, args.low, args.high
 
     series = sum(math.log1p(1.0 / (p + 1)) for p in iter_odd_primes(args.prime_cap))
     floor = math.exp(-series)

@@ -2,7 +2,7 @@
 """Enumerate all groups of each order up to a bound and report timings.
 
 Example:
-    python scripts/census_timing.py --max-order 16 --workers 2
+    python scripts/census_timing.py --max-order 16 --names
 """
 
 import argparse
@@ -15,7 +15,6 @@ from grpinv.iso import identify
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-order", type=int, default=12)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument(
         "--names", action="store_true", help="also identify each class"
     )
@@ -24,7 +23,7 @@ def main() -> int:
     total_elapsed = 0.0
     mismatches = 0
     for n in range(1, args.max_order + 1):
-        result = enumerate_groups(n, enum_cap=args.max_order, workers=args.workers)
+        result = enumerate_groups(n, enum_cap=args.max_order)
         total_elapsed += result.elapsed
         expected = known_census[n - 1] if n <= len(known_census) else None
         marker = ""

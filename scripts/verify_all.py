@@ -22,14 +22,13 @@ from grpinv.classify import (
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-order", type=int, default=12)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     start = time.monotonic()
-    reports = list(verify_theorem1(args.max_order, workers=args.workers))
-    reports.append(verify_involution_threshold(args.max_order, workers=args.workers))
+    reports = list(verify_theorem1(args.max_order))
+    reports.append(verify_involution_threshold(args.max_order))
     for r in (1, 2, 4):
-        reports.append(verify_c_order_deficit(r, args.max_order, workers=args.workers))
+        reports.append(verify_c_order_deficit(r, args.max_order))
     for n in (3, 5, 9, 25, 27, 49, 6, 10, 18):
         reports.append(verify_semidirect_dichotomy(n))
     reports.append(check_unique_cyclic_normality(min(args.max_order, 16)))

@@ -8,6 +8,9 @@ no enumerated group outside the list does.  A counterexample report
 carries the offending multiplication table so the failure can be
 re-checked independently of this package.
 
+The ``workers`` keyword of the entry points that enumerate groups is
+accepted for compatibility; ignored, the search is serial.
+
 Claim identifiers
 -----------------
 T1.1-r0 / T1.1-r1 / T1.1-r2
@@ -245,7 +248,7 @@ def verify_theorem1(
     workers: int = 1,
 ) -> tuple[VerificationReport, VerificationReport, VerificationReport]:
     """The r = 0, 1, 2 classifications against exhaustive enumeration."""
-    by_order = all_groups_upto(max_order, enum_cap=enum_cap, workers=workers)
+    by_order = all_groups_upto(max_order, enum_cap=enum_cap)
     reports = []
     for r in (0, 1, 2):
         family = theorem1_families(r, max_order)
@@ -270,7 +273,7 @@ def verify_involution_threshold(
     workers: int = 1,
 ) -> VerificationReport:
     """Every enumerated group with 4 i(G) > 3 |G| is elementary abelian."""
-    by_order = all_groups_upto(max_order, enum_cap=enum_cap, workers=workers)
+    by_order = all_groups_upto(max_order, enum_cap=enum_cap)
     scope = f"all orders <= {max_order}"
     witnesses = []
     for m in range(1, max_order + 1):
@@ -357,7 +360,7 @@ def verify_c_order_deficit(
                     G, f"listed member {name} has c = {inv.c}, not |G| - {r}"
                 ),
             )
-    by_order = all_groups_upto(max_order, enum_cap=enum_cap, workers=workers)
+    by_order = all_groups_upto(max_order, enum_cap=enum_cap)
     candidates = [
         G
         for m in range(1, max_order + 1)
@@ -562,7 +565,7 @@ def check_unique_cyclic_normality(
 ) -> VerificationReport:
     """A cyclic subgroup that is unique of its order is normal, across all
     enumerated groups of order <= max_order."""
-    by_order = all_groups_upto(max_order, enum_cap=enum_cap, workers=workers)
+    by_order = all_groups_upto(max_order, enum_cap=enum_cap)
     scope = f"all orders <= {max_order}"
     checked = 0
     for m in range(1, max_order + 1):
@@ -598,7 +601,7 @@ def order12_case_f_report(
     """At order 12, exactly one class has r = 2 (the 12-gon symmetries), and
     no class with r = 2 realizes the excluded configuration of two distinct
     order-3 cyclic subgroups as its only cyclic subgroups of order > 2."""
-    result = all_groups_upto(12, enum_cap=enum_cap, workers=workers)[12]
+    result = all_groups_upto(12, enum_cap=enum_cap)[12]
     scope = "order 12, two-order-3-subgroups configuration"
     r2 = [G for G in result.groups if r_value(G) == 2]
     if len(r2) != 1:

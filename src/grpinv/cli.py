@@ -60,7 +60,6 @@ class _Config:
     table_cap: int
     enum_cap: int
     prime_cap: int
-    threads: int
     machine: bool
 
 
@@ -79,6 +78,7 @@ def _global_flags(defaults: bool) -> argparse.ArgumentParser:
     parent.add_argument(
         "--format", choices=("human", "machine"), default=default("human")
     )
+    # Accepted for compatibility; ignored, the search is serial.
     parent.add_argument("--threads", type=int, default=default(1))
     return parent
 
@@ -213,9 +213,7 @@ def _cmd_identify(config: _Config, args) -> int:
 
 
 def _cmd_enumerate(config: _Config, args) -> int:
-    result = enumerate_groups(
-        args.n, enum_cap=config.enum_cap, workers=config.threads
-    )
+    result = enumerate_groups(args.n, enum_cap=config.enum_cap)
     if not config.machine:
         print(
             f"order {result.order}: {len(result.groups)} isomorphism classes "
@@ -253,9 +251,7 @@ def _cmd_enumerate(config: _Config, args) -> int:
 def _lemma_reports(config: _Config, max_order: int) -> list:
     reports = [
         classify.check_unique_cyclic_normality(
-            min(max_order, config.enum_cap),
-            enum_cap=config.enum_cap,
-            workers=config.threads,
+            min(max_order, config.enum_cap), enum_cap=config.enum_cap
         )
     ]
     for n in range(1, max_order + 1):
@@ -288,23 +284,18 @@ def _lemma_reports(config: _Config, max_order: int) -> list:
 def _cmd_verify(config: _Config, args) -> int:
     if args.claim == "theorem1":
         reports = list(
-            classify.verify_theorem1(
-                args.max_order, enum_cap=config.enum_cap, workers=config.threads
-            )
+            classify.verify_theorem1(args.max_order, enum_cap=config.enum_cap)
         )
     elif args.claim == "theorem22":
         reports = [
             classify.verify_involution_threshold(
-                args.max_order, enum_cap=config.enum_cap, workers=config.threads
+                args.max_order, enum_cap=config.enum_cap
             )
         ]
     elif args.claim == "theorem23":
         reports = [
             classify.verify_c_order_deficit(
-                args.r,
-                args.max_order,
-                enum_cap=config.enum_cap,
-                workers=config.threads,
+                args.r, args.max_order, enum_cap=config.enum_cap
             )
         ]
     elif args.claim == "theorem24":
@@ -376,7 +367,6 @@ def run(argv=None) -> int:
         table_cap=args.table_cap,
         enum_cap=args.enum_cap,
         prime_cap=args.prime_cap,
-        threads=max(args.threads, 1),
         machine=args.format == "machine",
     )
     try:

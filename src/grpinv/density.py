@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .arith import DEFAULT_PRIME_CAP, iter_odd_primes
 from .errors import ConvergenceError, DomainError, InvariantViolationError
-from .groups import DEFAULT_TABLE_CAP, FiniteGroup, direct_product, invariants, make_cyclic, make_dihedral
+from .groups import DEFAULT_TABLE_CAP, FiniteGroup, _freeze, direct_product, invariants, make_cyclic, make_dihedral
 
 __all__ = [
     "PrimeSelection",
@@ -245,7 +245,7 @@ def materialize(
             group, make_dihedral(2 * p, table_cap=order_cap), table_cap=order_cap
         )
     name = "x".join(f"D{2 * p}" for p in selection.primes) or "Z1"
-    group = FiniteGroup(order=group.order, table=group.table, name=name)
+    group = _freeze(group.table, name=name)
     counted = invariants(group).beta
     expected = selection_beta(selection)
     if counted != expected:

@@ -14,9 +14,9 @@ row and column fixed:
   order.
 
 Survivors are deduplicated through fingerprint buckets plus isomorphism
-tests, keeping the lexicographically least table of each class, which
-makes the output independent of how the search tree is partitioned
-across workers.
+tests, keeping the lexicographically least table of each class.  The
+search is serial: it is pure Python under the GIL and measured no faster
+on a thread pool, so ``workers`` arguments are accepted and ignored.
 
 A second, independent reference path (`enumerate_groups_reference`)
 iterates over identity-fixed Latin squares in row-major order with
@@ -27,7 +27,6 @@ completeness oracle for small orders.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from threading import Lock
 
@@ -80,22 +79,11 @@ def _search_tables(
     normalized: bool = True,
     derive: bool = True,
     cell_order: list[tuple[int, int]] | None = None,
-    prefix: tuple[tuple[int, int], ...] = (),
-    max_depth: int | None = None,
     deadline: float | None = None,
 ):
-    """Yield completed flat group tables.
-
-    With ``max_depth`` set, the search stops branching at that depth and
-    yields ('prefix', decisions) frontier markers instead; completed
-    tables are yielded as ('table', flat).  ``prefix`` replays inherited
-    branch decisions (flat cell index, value), which is how subtree work
-    is handed to workers.  Without ``max_depth`` the plain flat tuples
-    are yielded.
-    """
-    tagged = max_depth is not None
+    """Yield completed flat group tables."""
     if n == 1:
-        yield ("table", (0,)) if tagged else (0,)
+        yield (0,)
         return
     cells = cell_order if cell_order is not None else _staircase_cells(n)
     size = n * n
@@ -232,20 +220,9 @@ def _search_tables(
             col_used[b] &= bit
             row_inv[a][v] = -1
 
-    # Replay an inherited branch prefix.
-    decisions = list(prefix)
-    queue.clear()
-    for idx, v in prefix:
-        a, b = divmod(idx, n)
-        shell = a if a > b else b
-        if shell > introduced:
-            introduced = shell
-        if not (assign(a, b, v) and propagate() and chains_ok()):
-            return
-
     total_cells = len(cells)
 
-    def descend(ci: int, depth: int):
+    def descend(ci: int):
         nonlocal introduced
         if deadline is not None and time.monotonic() > deadline:
             raise _TimeoutSignal
@@ -255,13 +232,9 @@ def _search_tables(
                 break
             ci += 1
         else:
-            yield ("table", tuple(t)) if tagged else tuple(t)
-            return
-        if tagged and depth >= max_depth:
-            yield ("prefix", tuple(decisions))
+            yield tuple(t)
             return
         a, b = cells[ci]
-        idx = a * n + b
         shell = a if a > b else b
         saved_introduced = introduced
         if shell > introduced:
@@ -277,14 +250,12 @@ def _search_tables(
                 continue
             queue.clear()
             if assign(a, b, v) and propagate() and chains_ok():
-                decisions.append((idx, v))
-                yield from descend(ci + 1, depth + 1)
-                decisions.pop()
+                yield from descend(ci + 1)
             unwind(mark)
             introduced = shell_introduced
         introduced = saved_introduced
 
-    yield from descend(0, len(prefix))
+    yield from descend(0)
 
 
 def _dedup_classes(tables: list[tuple[int, ...]], n: int) -> list[FiniteGroup]:
@@ -317,9 +288,10 @@ def enumerate_groups(
 ) -> EnumerationResult:
     """All isomorphism classes of groups of order n, exhaustively.
 
-    The output (class representatives and their order) is deterministic
-    and identical for any worker count; ``tables_explored`` counts the
-    complete tables generated before deduplication.
+    The output (class representatives and their order) is deterministic;
+    ``tables_explored`` counts the complete tables generated before
+    deduplication.  ``workers`` is accepted for compatibility; ignored,
+    the search is serial.
     """
     if n < 1:
         raise DomainError(f"order must be >= 1, got {n}")
@@ -329,36 +301,10 @@ def enumerate_groups(
     deadline = start + timeout if timeout is not None else None
     raw: list[tuple[int, ...]] = []
     timed_out = False
-
-    if workers <= 1 or n <= 3:
-        try:
-            raw.extend(_search_tables(n, deadline=deadline))
-        except _TimeoutSignal:
-            timed_out = True
-    else:
-        complete: list[tuple[int, ...]] = []
-        frontier: list[tuple[tuple[int, int], ...]] = []
-        for kind, payload in _search_tables(n, max_depth=2):
-            (complete if kind == "table" else frontier).append(payload)
-        raw.extend(complete)
-        lock = Lock()
-
-        def work(chunk):
-            nonlocal timed_out
-            local: list[tuple[int, ...]] = []
-            try:
-                for pfx in chunk:
-                    local.extend(_search_tables(n, prefix=pfx, deadline=deadline))
-            except _TimeoutSignal:
-                with lock:
-                    timed_out = True
-            with lock:
-                raw.extend(local)
-
-        chunks = [frontier[k::workers] for k in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, chunks))
-
+    try:
+        raw.extend(_search_tables(n, deadline=deadline))
+    except _TimeoutSignal:
+        timed_out = True
     groups = _dedup_classes(raw, n)
     elapsed = time.monotonic() - start
     result = EnumerationResult(
@@ -399,13 +345,20 @@ def all_groups_upto(
     enum_cap: int = DEFAULT_ENUM_CAP,
     workers: int = 1,
 ) -> dict[int, EnumerationResult]:
-    """Enumeration results for every order 1..max_order (memoized)."""
+    """Enumeration results for every order 1..max_order (memoized).
+
+    ``workers`` is accepted for compatibility; ignored, the search is serial.
+    """
+    if max_order > enum_cap:
+        raise ResourceLimitError(
+            f"order {max_order} exceeds the enumeration cap {enum_cap}"
+        )
     results = {}
     for m in range(1, max_order + 1):
         with _UPTO_LOCK:
             cached = _UPTO_CACHE.get(m)
         if cached is None:
-            cached = enumerate_groups(m, enum_cap=enum_cap, workers=workers)
+            cached = enumerate_groups(m, enum_cap=enum_cap)
             with _UPTO_LOCK:
                 _UPTO_CACHE[m] = cached
         results[m] = cached

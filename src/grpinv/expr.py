@@ -22,6 +22,7 @@ from .errors import ParseError
 from .groups import (
     DEFAULT_TABLE_CAP,
     FiniteGroup,
+    _freeze,
     direct_product,
     make_cyclic,
     make_dicyclic,
@@ -196,4 +197,4 @@ def evaluate(expr: GroupExpr, *, table_cap: int = DEFAULT_TABLE_CAP) -> FiniteGr
         group = factor if group is None else direct_product(
             group, factor, table_cap=table_cap
         )
-    return FiniteGroup(order=group.order, table=group.table, name=expr.text())
+    return _freeze(group.table, name=expr.text())

@@ -30,6 +30,7 @@ import numpy as np
 from .arith import unit_involutions
 from .errors import (
     DomainError,
+    InvariantViolationError,
     NoIdentityError,
     NotAssociativeError,
     NotLatinSquareError,
@@ -338,7 +339,7 @@ def invariants(G: FiniteGroup) -> GroupInvariants:
     i = histogram.get(1, 0) + histogram.get(2, 0)
     c = len(subgroups)
     if i > c:
-        raise AssertionError("i(G) > c(G) cannot happen: x -> <x> is injective on I(G)")
+        raise InvariantViolationError("i(G) > c(G) cannot happen: x -> <x> is injective on I(G)")
     return GroupInvariants(
         order=G.order,
         i=i,

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,3 +149,24 @@ def test_formula_count_agreement_for_all_materializable_selections():
         G = materialize(sel)
         assert not isinstance(G, TooLarge)
         assert invariants(G).beta == sel.predicted_beta
+
+
+def test_sweep_script_accepts_exponent_eps():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [
+            sys.executable,
+            str(root / "scripts" / "beta_target_sweep.py"),
+            "--targets", "3", "--eps", "1e-4", "--prime-cap", "1000",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "eps = 1/10000" in proc.stdout

@@ -1,7 +1,10 @@
+import threading
+
 import pytest
 
 from grpinv.enumeration import (
     EnumerationResult,
+    all_groups_upto,
     enumerate_groups,
     enumerate_groups_reference,
     known_census,
@@ -93,6 +96,20 @@ def test_cap_and_domain_errors():
         enumerate_groups(9, enum_cap=8)
     with pytest.raises(DomainError):
         enumerate_groups(0)
+
+
+def test_search_starts_no_threads(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"search started thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert len(enumerate_groups(12, workers=4).groups) == known_census[11]
+
+
+def test_cap_holds_after_cached_enumeration():
+    all_groups_upto(12)
+    with pytest.raises(ResourceLimitError):
+        all_groups_upto(12, enum_cap=8)
 
 
 def test_timeout_carries_partial_progress():

@@ -63,10 +63,22 @@ def main() -> int:
         mid = converged // 2
         print(f"primes scanned: min {scanned[0]}, median {scanned[mid]}, max {scanned[-1]}")
         print(f"primes selected: min {selected[0]}, median {selected[mid]}, max {selected[-1]}")
-    if failed:
-        print(f"unreachable targets (all below {floor:.6f}):")
-        for t in failed:
-            print(f"  {t} = {float(t):.6f}")
+    # Below the floor no tolerance converges; above it the cap ran out of
+    # primes before reaching eps.
+    below = [t for t in failed if t < floor]
+    missed = [t for t in failed if t >= floor]
+    for heading, group in (
+        (f"unreachable targets (all below {floor:.6f}):", below),
+        (
+            f"targets above {floor:.6f} that missed eps under prime cap "
+            f"{args.prime_cap}:",
+            missed,
+        ),
+    ):
+        if group:
+            print(heading)
+            for t in group:
+                print(f"  {t} = {float(t):.6f}")
     return 0
 
 

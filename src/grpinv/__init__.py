@@ -10,6 +10,7 @@ greedy products of dihedral groups.
 from .arith import (
     DEFAULT_PRIME_CAP,
     euler_phi,
+    is_unit_involution,
     iter_odd_primes,
     odd_primes,
     rational_from_decimal,
@@ -60,8 +61,10 @@ from .groups import (
     FiniteGroup,
     GroupInvariants,
     cyclic_subgroups,
+    dihedral_product,
     direct_product,
     element_order,
+    element_orders,
     invariants,
     involution_count,
     is_elementary_abelian_2,

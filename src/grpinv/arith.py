@@ -28,6 +28,7 @@ __all__ = [
     "tau",
     "odd_primes",
     "iter_odd_primes",
+    "is_unit_involution",
     "unit_involutions",
     "rational_from_decimal",
 ]
@@ -107,11 +108,16 @@ def odd_primes(count: int, cap: int = DEFAULT_PRIME_CAP) -> list[int]:
         limit = min(limit * 4, cap)
 
 
+def is_unit_involution(u: int, n: int) -> bool:
+    """True iff u in [1, n-1], gcd(u, n) = 1 and u*u = 1 (mod n)."""
+    return 0 < u < n and gcd(u, n) == 1 and (u * u) % n == 1
+
+
 def unit_involutions(n: int) -> list[int]:
-    """All u in [1, n-1] with gcd(u, n) = 1 and u*u = 1 (mod n), ascending."""
+    """All u with ``is_unit_involution(u, n)``, ascending."""
     if n < 2:
         raise DomainError(f"unit_involutions needs n >= 2, got {n}")
-    return [u for u in range(1, n) if gcd(u, n) == 1 and (u * u) % n == 1]
+    return [u for u in range(1, n) if is_unit_involution(u, n)]
 
 
 _DECIMAL_RE = re.compile(r"([+-]?)(\d+)(?:\.(\d*))?\Z")

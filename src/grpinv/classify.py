@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import iter_odd_primes, tau, unit_involutions
+from .arith import euler_phi, iter_odd_primes, tau, unit_involutions
 from .catalog import catalog_group, generalized_dihedral
 from .enumeration import DEFAULT_ENUM_CAP, all_groups_upto
 from .errors import DomainError, ResourceLimitError
@@ -52,6 +52,7 @@ from .groups import (
     DEFAULT_TABLE_CAP,
     FiniteGroup,
     cyclic_subgroups,
+    dihedral_product,
     direct_product,
     invariants,
     is_elementary_abelian_2,
@@ -132,26 +133,25 @@ def r_value(G: FiniteGroup) -> int:
     return inv.r
 
 
-def _counterexample(G: FiniteGroup, description: str) -> Counterexample:
-    table = tuple(tuple(int(v) for v in row) for row in G.table)
-    return Counterexample(description=description, table=table)
-
-
-def _witness(name: str, G: FiniteGroup):
-    return (name, invariants(G))
-
-
-def _report(claim, scope, named_groups, failure=None) -> VerificationReport:
-    if failure is not None:
-        return VerificationReport(
-            claim=claim, scope=scope, status="counterexample", counterexample=failure
-        )
+def _report(claim, scope, named_groups) -> VerificationReport:
+    """A verified report with the invariants of each named group."""
     witnesses = tuple(
-        _witness(name, G)
+        (name, invariants(G))
         for name, G in sorted(named_groups, key=lambda ng: (ng[1].order, ng[0]))
     )
     return VerificationReport(
         claim=claim, scope=scope, status="verified", witnesses=witnesses
+    )
+
+
+def _refuted(claim, scope, G: FiniteGroup, description: str) -> VerificationReport:
+    """A counterexample report carrying G's multiplication table."""
+    table = tuple(tuple(int(v) for v in row) for row in G.table)
+    return VerificationReport(
+        claim=claim,
+        scope=scope,
+        status="counterexample",
+        counterexample=Counterexample(description=description, table=table),
     )
 
 
@@ -216,27 +216,21 @@ def _match_family(
                 hit = k
                 break
         if hit is None:
-            return _report(
+            return _refuted(
                 claim,
                 scope,
-                [],
-                failure=_counterexample(
-                    G,
-                    f"group of order {G.order} realizes the property but matches "
-                    "no family member",
-                ),
+                G,
+                f"group of order {G.order} realizes the property but matches "
+                "no family member",
             )
         matched[hit] = True
     for k, (name, F) in enumerate(family):
         if not matched[k]:
-            return _report(
+            return _refuted(
                 claim,
                 scope,
-                [],
-                failure=_counterexample(
-                    F,
-                    f"family member {name} not realized by any enumerated group",
-                ),
+                F,
+                f"family member {name} not realized by any enumerated group",
             )
     return _report(claim, scope, family)
 
@@ -281,15 +275,12 @@ def verify_involution_threshold(
             inv = invariants(G)
             if 4 * inv.i > 3 * G.order:
                 if not is_elementary_abelian_2(G):
-                    return _report(
+                    return _refuted(
                         "T2.2",
                         scope,
-                        [],
-                        failure=_counterexample(
-                            G,
-                            f"order {G.order}, i = {inv.i} exceeds threshold but "
-                            "not elementary abelian",
-                        ),
+                        G,
+                        f"order {G.order}, i = {inv.i} exceeds threshold but "
+                        "not elementary abelian",
                     )
                 witnesses.append((identify(G) or f"order-{G.order}", G))
     return _report("T2.2", scope, witnesses)
@@ -352,13 +343,8 @@ def verify_c_order_deficit(
     for name, G in above:
         inv = invariants(G)
         if inv.c != G.order - r:
-            return _report(
-                claim,
-                scope,
-                [],
-                failure=_counterexample(
-                    G, f"listed member {name} has c = {inv.c}, not |G| - {r}"
-                ),
+            return _refuted(
+                claim, scope, G, f"listed member {name} has c = {inv.c}, not |G| - {r}"
             )
     by_order = all_groups_upto(max_order, enum_cap=enum_cap)
     candidates = [
@@ -394,6 +380,8 @@ def verify_semidirect_dichotomy(
     n: int, *, table_cap: int = DEFAULT_TABLE_CAP
 ) -> VerificationReport:
     """Z_n extended by Z_2 lands on Z2 x Zn or D2n when n = p^k or 2p^k."""
+    if 2 * n > table_cap:
+        raise ResourceLimitError(f"D_{2 * n} exceeds the table cap {table_cap}")
     if n < 2 or not _is_odd_prime_power_or_twice(n):
         raise DomainError(
             f"n = {n} is not an odd prime power or twice one; the dichotomy "
@@ -403,13 +391,11 @@ def verify_semidirect_dichotomy(
     units = unit_involutions(n)
     if units != [1, n - 1]:
         G = semidirect_zn_z2(n, units[1], table_cap=table_cap)
-        return _report(
+        return _refuted(
             "T2.4",
             scope,
-            [],
-            failure=_counterexample(
-                G, f"expected exactly two unit square roots mod {n}, got {units}"
-            ),
+            G,
+            f"expected exactly two unit square roots mod {n}, got {units}",
         )
     direct = direct_product(make_cyclic(2), make_cyclic(n), table_cap=table_cap)
     dihedral = make_dihedral(2 * n, table_cap=table_cap)
@@ -420,13 +406,11 @@ def verify_semidirect_dichotomy(
     ):
         G = semidirect_zn_z2(n, u, table_cap=table_cap)
         if are_isomorphic(G, target) is None:
-            return _report(
+            return _refuted(
                 "T2.4",
                 scope,
-                [],
-                failure=_counterexample(
-                    G, f"extension with u = {u} is not isomorphic to {target_name}"
-                ),
+                G,
+                f"extension with u = {u} is not isomorphic to {target_name}",
             )
         witnesses.append((f"SD({n},{u})~{target_name}", G))
     return _report("T2.4", scope, witnesses)
@@ -442,13 +426,11 @@ def check_lemma31a(n: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> Verificatio
     scope = f"n = {n}"
     for G in (cyclic, dihedral):
         if r_value(G) != expected:
-            return _report(
+            return _refuted(
                 "L3.1a",
                 scope,
-                [],
-                failure=_counterexample(
-                    G, f"r = {r_value(G)} but tau({n}) rule predicts {expected}"
-                ),
+                G,
+                f"r = {r_value(G)} but tau({n}) rule predicts {expected}",
             )
     return _report("L3.1a", scope, [(cyclic.name, cyclic), (dihedral.name, dihedral)])
 
@@ -459,14 +441,11 @@ def check_lemma31b(H: FiniteGroup, *, table_cap: int = DEFAULT_TABLE_CAP) -> Ver
     name = H.name or f"order-{H.order}"
     scope = f"H = {name}"
     if r_value(product) != 2 * r_value(H):
-        return _report(
+        return _refuted(
             "L3.1b",
             scope,
-            [],
-            failure=_counterexample(
-                product,
-                f"r(H x Z2) = {r_value(product)} but 2 r(H) = {2 * r_value(H)}",
-            ),
+            product,
+            f"r(H x Z2) = {r_value(product)} but 2 r(H) = {2 * r_value(H)}",
         )
     return _report("L3.1b", scope, [(f"{name}xZ2", product)])
 
@@ -488,13 +467,8 @@ def check_lemma41(
     hname = H.name or f"order-{H.order}"
     scope = f"G = {gname}, H = {hname}"
     if got != expected:
-        return _report(
-            "L4.1",
-            scope,
-            [],
-            failure=_counterexample(
-                product, f"beta(GxH) = {got} but beta(G)beta(H) = {expected}"
-            ),
+        return _refuted(
+            "L4.1", scope, product, f"beta(GxH) = {got} but beta(G)beta(H) = {expected}"
         )
     return _report("L4.1", scope, [(f"{gname}x{hname}", product)])
 
@@ -507,7 +481,7 @@ def check_lemma42(
     if len(set(primes)) != len(primes):
         raise DomainError("primes must be distinct")
     for p in primes:
-        if p < 3 or p % 2 == 0 or any(p % q == 0 for q in range(3, p, 2) if q * q <= p):
+        if p < 3 or p % 2 == 0 or euler_phi(p) != p - 1:
             raise DomainError(f"{p} is not an odd prime")
     order = 1
     for p in primes:
@@ -516,27 +490,17 @@ def check_lemma42(
         raise ResourceLimitError(
             f"product order {order} exceeds the table cap {table_cap}"
         )
-    product = make_cyclic(1)
-    for p in primes:
-        product = direct_product(
-            product, make_dihedral(2 * p, table_cap=table_cap), table_cap=table_cap
-        )
+    product = dihedral_product(primes, table_cap=table_cap)
     expected = Fraction(1)
     for p in primes:
         expected *= Fraction(p + 1, p + 2)
     counted = invariants(product).beta
-    label = "x".join(f"D{2 * p}" for p in primes) or "Z1"
     scope = f"primes = {primes}"
     if counted != expected:
-        return _report(
-            "L4.2",
-            scope,
-            [],
-            failure=_counterexample(
-                product, f"counted beta {counted} != formula {expected}"
-            ),
+        return _refuted(
+            "L4.2", scope, product, f"counted beta {counted} != formula {expected}"
         )
-    return _report("L4.2", scope, [(label, product)])
+    return _report("L4.2", scope, [(product.name, product)])
 
 
 def dihedral_prime_subsets(cap: int = DEFAULT_TABLE_CAP) -> list[tuple[int, ...]]:
@@ -578,15 +542,12 @@ def check_unique_cyclic_normality(
                 if len(group_list) == 1:
                     checked += 1
                     if not is_normal_subgroup(G, group_list[0]):
-                        return _report(
+                        return _refuted(
                             "L2.1",
                             scope,
-                            [],
-                            failure=_counterexample(
-                                G,
-                                f"unique cyclic subgroup of order {size} "
-                                f"{group_list[0]} is not normal",
-                            ),
+                            G,
+                            f"unique cyclic subgroup of order {size} "
+                            f"{group_list[0]} is not normal",
                         )
     return VerificationReport(
         claim="L2.1",
@@ -605,31 +566,18 @@ def order12_case_f_report(
     scope = "order 12, two-order-3-subgroups configuration"
     r2 = [G for G in result.groups if r_value(G) == 2]
     if len(r2) != 1:
-        return _report(
+        return _refuted(
             "T1.1-r2",
             scope,
-            [],
-            failure=_counterexample(
-                r2[0] if r2 else result.groups[0],
-                f"expected exactly one order-12 class with r = 2, found {len(r2)}",
-            ),
+            r2[0] if r2 else result.groups[0],
+            f"expected exactly one order-12 class with r = 2, found {len(r2)}",
         )
     G = r2[0]
     if are_isomorphic(G, make_dihedral(12)) is None:
-        return _report(
-            "T1.1-r2",
-            scope,
-            [],
-            failure=_counterexample(G, "the r = 2 class at order 12 is not D12"),
-        )
+        return _refuted("T1.1-r2", scope, G, "the r = 2 class at order 12 is not D12")
     big = [s for s in cyclic_subgroups(G).subgroups if len(s) > 2]
     if sorted(len(s) for s in big) == [3, 3]:
-        return _report(
-            "T1.1-r2",
-            scope,
-            [],
-            failure=_counterexample(
-                G, "r = 2 arises from two distinct order-3 cyclic subgroups"
-            ),
+        return _refuted(
+            "T1.1-r2", scope, G, "r = 2 arises from two distinct order-3 cyclic subgroups"
         )
     return _report("T1.1-r2", scope, [("D12", G)])

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .arith import DEFAULT_PRIME_CAP, iter_odd_primes
 from .errors import ConvergenceError, DomainError, InvariantViolationError
-from .groups import DEFAULT_TABLE_CAP, FiniteGroup, _freeze, direct_product, invariants, make_cyclic, make_dihedral
+from .groups import DEFAULT_TABLE_CAP, FiniteGroup, dihedral_product, invariants
 
 __all__ = [
     "PrimeSelection",
@@ -239,13 +239,7 @@ def materialize(
         required *= 2 * p
     if required > order_cap:
         return TooLarge(required_order=required)
-    group = make_cyclic(1)
-    for p in selection.primes:
-        group = direct_product(
-            group, make_dihedral(2 * p, table_cap=order_cap), table_cap=order_cap
-        )
-    name = "x".join(f"D{2 * p}" for p in selection.primes) or "Z1"
-    group = _freeze(group.table, name=name)
+    group = dihedral_product(selection.primes, table_cap=order_cap)
     counted = invariants(group).beta
     expected = selection_beta(selection)
     if counted != expected:

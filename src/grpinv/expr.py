@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import unit_involutions
+from .arith import is_unit_involution
 from .errors import ParseError
 from .groups import (
     DEFAULT_TABLE_CAP,
@@ -166,7 +166,7 @@ class _Parser:
                 raise ParseError(
                     f"SD base must be >= 2, got {n} at position {arg_pos}", arg_pos
                 )
-            if u not in unit_involutions(n):
+            if not is_unit_involution(u, n):
                 raise ParseError(
                     f"SD action {u} is not a unit square root of 1 mod {n} "
                     f"at position {name_pos}",

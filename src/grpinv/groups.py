@@ -11,10 +11,12 @@ The invariants of interest are
 * ``c(G)``: the number of cyclic subgroups (trivial subgroup included),
 * ``r(G) = c(G) - i(G)`` and ``beta(G) = i(G)/c(G)`` as an exact Fraction.
 
-Cyclic subgroups, element orders, and the order histogram are computed in
-a single pass: each distinct cyclic subgroup is walked exactly once (from
-its first generator hit), which also yields the order of every element of
-that subgroup as ``k / gcd(j, k)`` for the j-th power.
+All of them follow from the element orders alone: with n_d elements of
+order d, ``i = n_1 + n_2`` and, since a cyclic subgroup of order d has
+phi(d) generators, ``c = sum_d n_d / phi(d)``.  The order vector is the
+one thing scanned and cached per group; each power walk from an element
+of still unknown order k yields the order ``k / gcd(j, k)`` of its j-th
+power.  Cyclic subgroups themselves are built only on request.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from math import gcd
 
 import numpy as np
 
-from .arith import unit_involutions
+from .arith import euler_phi, is_unit_involution
 from .errors import (
     DomainError,
     InvariantViolationError,
@@ -51,7 +53,9 @@ __all__ = [
     "make_dicyclic",
     "make_elementary_abelian_2",
     "direct_product",
+    "dihedral_product",
     "semidirect_zn_z2",
+    "element_orders",
     "element_order",
     "involution_count",
     "cyclic_subgroups",
@@ -244,6 +248,18 @@ def direct_product(
     return _freeze(table, name=name)
 
 
+def dihedral_product(primes, *, table_cap: int = DEFAULT_TABLE_CAP) -> FiniteGroup:
+    """D_2p x D_2q x ... over ``primes`` in the given order, named like
+    "D6xD10"; the empty product is Z1."""
+    group = None
+    for p in primes:
+        factor = make_dihedral(2 * p, table_cap=table_cap)
+        group = factor if group is None else direct_product(
+            group, factor, table_cap=table_cap
+        )
+    return make_cyclic(1) if group is None else group
+
+
 def semidirect_zn_z2(
     n: int, u: int, *, table_cap: int = DEFAULT_TABLE_CAP
 ) -> FiniteGroup:
@@ -252,11 +268,11 @@ def semidirect_zn_z2(
     Elements are pairs (a, b) with a mod n, b mod 2, composed as
     (a, b)(a', b') = (a + u^b a', b + b'), encoded as index 2a + b.
     """
+    _check_cap(2 * n, table_cap)
     if n < 2:
         raise DomainError(f"semidirect base needs n >= 2, got {n}")
-    if u not in unit_involutions(n):
+    if not is_unit_involution(u, n):
         raise DomainError(f"u = {u} is not a square root of 1 in the units mod {n}")
-    _check_cap(2 * n, table_cap)
     idx = np.arange(2 * n, dtype=np.int64)
     a, b = idx // 2, idx % 2
     act = np.where(b == 1, u, 1)
@@ -268,43 +284,38 @@ def semidirect_zn_z2(
 # ---------------------------------------------------------------------------
 # Invariants
 
-_SCAN_CACHE: "weakref.WeakKeyDictionary[FiniteGroup, tuple]" = (
+_ORDERS_CACHE: "weakref.WeakKeyDictionary[FiniteGroup, tuple[int, ...]]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def _scan(G: FiniteGroup) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Element orders and the deduplicated cyclic subgroups, in one pass."""
-    cached = _SCAN_CACHE.get(G)
+def _powers(G: FiniteGroup, x: int) -> list[int]:
+    """[e, x, x^2, ..., x^(k-1)] for x of order k."""
+    item = G.table.item
+    powers = [0]
+    y = x
+    while y != 0:
+        powers.append(y)
+        y = item(y, x)
+    return powers
+
+
+def element_orders(G: FiniteGroup) -> tuple[int, ...]:
+    """The order of every element, by index; memoized per group."""
+    cached = _ORDERS_CACHE.get(G)
     if cached is not None:
         return cached
-    n = G.order
-    item = G.table.item
-    orders = [0] * n
+    orders = [0] * G.order
     orders[0] = 1
-    is_generator_seen = bytearray(n)
-    is_generator_seen[0] = 1
-    subgroups = {(0,)}
-    for x in range(1, n):
-        if is_generator_seen[x]:
+    for x in range(1, G.order):
+        if orders[x]:
             continue
-        powers = [0]
-        y = x
-        while y != 0:
-            powers.append(y)
-            y = item(y, x)
+        powers = _powers(G, x)
         k = len(powers)
         for j in range(1, k):
-            g = gcd(j, k)
-            orders[powers[j]] = k // g
-            if g == 1:
-                is_generator_seen[powers[j]] = 1
-        subgroups.add(tuple(sorted(powers)))
-    result = (
-        tuple(orders),
-        tuple(sorted(subgroups, key=lambda s: (len(s), s))),
-    )
-    _SCAN_CACHE[G] = result
+            orders[powers[j]] = k // gcd(j, k)
+    result = tuple(orders)
+    _ORDERS_CACHE[G] = result
     return result
 
 
@@ -312,13 +323,7 @@ def element_order(G: FiniteGroup, x: int) -> int:
     """Least k >= 1 with x^k = identity."""
     if not 0 <= x < G.order:
         raise DomainError(f"element index {x} out of range for order {G.order}")
-    item = G.table.item
-    k = 1
-    y = x
-    while y != 0:
-        y = item(y, x)
-        k += 1
-    return k
+    return element_orders(G)[x]
 
 
 def involution_count(G: FiniteGroup) -> int:
@@ -328,16 +333,30 @@ def involution_count(G: FiniteGroup) -> int:
 
 def cyclic_subgroups(G: FiniteGroup) -> CyclicSubgroupSet:
     """Every subgroup generated by a single element, deduplicated."""
-    _, subgroups = _scan(G)
-    return CyclicSubgroupSet(subgroups=subgroups)
+    orders = element_orders(G)
+    # Each subgroup is walked once, from its first generator; its other
+    # generators are the members of the same order.
+    covered = bytearray(G.order)
+    subgroups = [(0,)]
+    for x in range(1, G.order):
+        if covered[x]:
+            continue
+        powers = _powers(G, x)
+        k = len(powers)
+        for y in powers:
+            if orders[y] == k:
+                covered[y] = 1
+        subgroups.append(tuple(sorted(powers)))
+    subgroups.sort(key=lambda s: (len(s), s))
+    return CyclicSubgroupSet(subgroups=tuple(subgroups))
 
 
 def invariants(G: FiniteGroup) -> GroupInvariants:
     """Counted order, i, c, r, beta, and the element-order histogram."""
-    orders, subgroups = _scan(G)
-    histogram = Counter(orders)
-    i = histogram.get(1, 0) + histogram.get(2, 0)
-    c = len(subgroups)
+    histogram = Counter(element_orders(G))
+    i = histogram[1] + histogram[2]
+    # A cyclic subgroup of order d has phi(d) generators of order d.
+    c = sum(count // euler_phi(d) for d, count in histogram.items())
     if i > c:
         raise InvariantViolationError("i(G) > c(G) cannot happen: x -> <x> is injective on I(G)")
     return GroupInvariants(

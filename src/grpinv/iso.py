@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, invariants
+from .groups import FiniteGroup, element_orders, invariants
 
 __all__ = [
     "IsoFingerprint",
@@ -102,12 +102,6 @@ def _generating_sequence(G: FiniteGroup):
     return generators, chain
 
 
-def _element_orders(G: FiniteGroup) -> list[int]:
-    from .groups import _scan
-
-    return list(_scan(G)[0])
-
-
 def is_homomorphic_bijection(G: FiniteGroup, H: FiniteGroup, bijection) -> bool:
     """Check bijectivity plus f(ab) = f(a)f(b) over all pairs."""
     m = np.asarray(bijection, dtype=np.int64)
@@ -124,8 +118,8 @@ def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> IsoWitness | None:
         return None
     n = G.order
     generators, chain = _generating_sequence(G)
-    orders_g = _element_orders(G)
-    orders_h = _element_orders(H)
+    orders_g = element_orders(G)
+    orders_h = element_orders(H)
     item_h = H.table.item
     candidates = [
         [h for h in range(n) if orders_h[h] == orders_g[g]] for g in generators

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from grpinv.arith import (
     euler_phi,
+    is_unit_involution,
     iter_odd_primes,
     odd_primes,
     rational_from_decimal,
@@ -91,6 +92,13 @@ def test_unit_involutions_contain_trivial_ones(n):
         assert n - 1 in units
     for u in units:
         assert gcd(u, n) == 1 and (u * u) % n == 1
+
+
+@given(st.integers(min_value=2, max_value=500))
+def test_is_unit_involution_agrees_with_the_list(n):
+    units = set(unit_involutions(n))
+    for u in range(-1, n + 2):
+        assert is_unit_involution(u, n) == (u in units)
 
 
 def test_rational_from_decimal():

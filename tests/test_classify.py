@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -132,6 +133,13 @@ def test_semidirect_dichotomy_rejects_other_n():
     for bad in (12, 15, 16, 45):
         with pytest.raises(DomainError):
             verify_semidirect_dichotomy(bad)
+
+
+def test_semidirect_dichotomy_checks_cap_before_unit_scan():
+    start = time.monotonic()
+    with pytest.raises(ResourceLimitError):
+        verify_semidirect_dichotomy(1000000007)
+    assert time.monotonic() - start < 2.0
 
 
 def test_lemma31a_examples():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -190,6 +191,13 @@ def test_exit_resource_errors(capsys):
     assert run(["enumerate", "20"]) == 3
     assert run(["--table-cap", "64", "invariants", "Z(100)"]) == 3
     assert run(["approx-beta", "0.5", "--eps", "0.001", "--prime-cap", "10"]) == 3
+
+
+def test_semidirect_expr_over_cap_exits_fast(capsys):
+    start = time.monotonic()
+    assert run(["invariants", "SD(1000000000,1)"]) == 3
+    assert time.monotonic() - start < 2.0
+    assert "exceeds the table cap" in capsys.readouterr().err
 
 
 def test_exit_counterexample(monkeypatch, capsys):

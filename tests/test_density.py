@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -170,3 +171,9 @@ def test_sweep_script_accepts_exponent_eps():
     )
     assert proc.returncode == 0, proc.stderr
     assert "eps = 1/10000" in proc.stdout
+    # 0.6788 lies above the floor and misses eps only because the cap is
+    # small, so it must not be listed as unreachable.
+    _, _, tail = proc.stdout.partition("unreachable targets (all below")
+    below = list(takewhile(lambda line: line.startswith("  "), tail.splitlines()[1:]))
+    assert "0.678800" in proc.stdout
+    assert not any("0.678800" in line for line in below)

@@ -13,8 +13,10 @@ from grpinv.errors import (
 )
 from grpinv.groups import (
     cyclic_subgroups,
+    dihedral_product,
     direct_product,
     element_order,
+    element_orders,
     invariants,
     involution_count,
     is_normal_subgroup,
@@ -175,6 +177,13 @@ def test_invariants_bounds_and_histogram_total():
         assert inv.r == inv.c - inv.i >= 0
         assert inv.beta == Fraction(inv.i, inv.c)
         assert sum(inv.order_histogram.values()) == inv.order
+        # The phi formula for c and the materialized subgroups are
+        # independent paths; they must agree.
+        G = entry.group
+        orders = element_orders(G)
+        assert inv.c == cyclic_subgroups(G).count
+        assert all(element_order(G, x) == orders[x] for x in range(G.order))
+        assert sum(inv.order_histogram.values()) == len(orders)
 
 
 def test_cyclic_subgroup_count_equals_tau_for_cyclic_groups():
@@ -199,6 +208,27 @@ def test_direct_product_structure():
     assert invariants(v4).i == 4
     z12 = direct_product(make_cyclic(3), make_cyclic(4))
     assert are_isomorphic(z12, make_cyclic(12)) is not None
+
+
+def test_dihedral_product_matches_chained_direct_products():
+    G = dihedral_product((3, 5, 7))
+    chained = direct_product(
+        direct_product(make_dihedral(6), make_dihedral(10)), make_dihedral(14)
+    )
+    assert G.name == "D6xD10xD14"
+    assert (G.table == chained.table).all()
+    assert dihedral_product((5,)).name == "D10"
+    assert dihedral_product(()).name == "Z1" and dihedral_product(()).order == 1
+    with pytest.raises(ResourceLimitError):
+        dihedral_product((3, 5), table_cap=59)
+
+
+def test_semidirect_cap_is_checked_first():
+    # A unit scan over n would take minutes; the cap must refuse at once.
+    with pytest.raises(ResourceLimitError):
+        semidirect_zn_z2(10**9, 1)
+    with pytest.raises(ResourceLimitError):
+        semidirect_zn_z2(10**9, 2)
 
 
 def test_semidirect_examples():

@@ -9,6 +9,7 @@ greedy products of dihedral groups.
 
 from .arith import (
     DEFAULT_PRIME_CAP,
+    MAX_PRIME_CAP,
     euler_phi,
     is_unit_involution,
     iter_odd_primes,

@@ -21,9 +21,12 @@ from .errors import DomainError, ParseError, ResourceLimitError
 
 #: Hard ceiling for prime generation; beyond it we raise instead of sieving on.
 DEFAULT_PRIME_CAP = 10**6
+#: Largest prime cap accepted at all: the sieve costs a byte per integer.
+MAX_PRIME_CAP = 10**7
 
 __all__ = [
     "DEFAULT_PRIME_CAP",
+    "MAX_PRIME_CAP",
     "euler_phi",
     "tau",
     "odd_primes",

@@ -25,8 +25,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import DEFAULT_PRIME_CAP, iter_odd_primes
-from .errors import ConvergenceError, DomainError, InvariantViolationError
+from .arith import DEFAULT_PRIME_CAP, MAX_PRIME_CAP, iter_odd_primes
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    InvariantViolationError,
+    ResourceLimitError,
+)
 from .groups import DEFAULT_TABLE_CAP, FiniteGroup, dihedral_product, invariants
 
 __all__ = [
@@ -116,8 +121,14 @@ def approximate_beta(
     Scans the odd primes in increasing order, including p whenever the
     product stays >= target, and stops once the exact distance to the
     target is within eps.  Raises :class:`ConvergenceError` carrying the
-    best selection when the prime cap is exhausted first.
+    best selection when the prime cap is exhausted first, and
+    :class:`ResourceLimitError` before any sieving when ``prime_cap``
+    exceeds ``MAX_PRIME_CAP``.
     """
+    if prime_cap > MAX_PRIME_CAP:
+        raise ResourceLimitError(
+            f"prime cap {prime_cap} exceeds the ceiling {MAX_PRIME_CAP}"
+        )
     target = _as_exact(target, "target")
     eps = _as_exact(eps, "eps")
     if not 0 < target <= 1:

@@ -258,11 +258,21 @@ def _search_tables(
     yield from descend(0)
 
 
-def _dedup_classes(tables: list[tuple[int, ...]], n: int) -> list[FiniteGroup]:
+def _dedup_classes(
+    tables: list[tuple[int, ...]], n: int, deadline: float | None = None
+) -> tuple[list[FiniteGroup], bool]:
     """Collapse raw tables to one representative per isomorphism class,
-    keeping the lexicographically least table of each class."""
+    keeping the lexicographically least table of each class.
+
+    Returns the classes and whether the deadline cut the pass short; the
+    classes are then those deduplicated before it passed.
+    """
     buckets: dict[tuple, list[tuple[FiniteGroup, tuple[int, ...]]]] = {}
+    timed_out = False
     for flat in sorted(set(tables)):
+        if deadline is not None and time.monotonic() > deadline:
+            timed_out = True
+            break
         arr = np.array(flat, dtype=np.int64).reshape(n, n)
         G = _freeze(arr)
         key = fingerprint(G).sort_key()
@@ -276,7 +286,7 @@ def _dedup_classes(tables: list[tuple[int, ...]], n: int) -> list[FiniteGroup]:
     for key in sorted(buckets):
         for G, _flat in sorted(buckets[key], key=lambda pair: pair[1]):
             ordered.append(G)
-    return ordered
+    return ordered, timed_out
 
 
 def enumerate_groups(
@@ -290,8 +300,11 @@ def enumerate_groups(
 
     The output (class representatives and their order) is deterministic;
     ``tables_explored`` counts the complete tables generated before
-    deduplication.  ``workers`` is accepted for compatibility; ignored,
-    the search is serial.
+    deduplication.  ``timeout`` bounds search and deduplication together;
+    when it passes, :class:`EnumerationTimeout` carries a partial result
+    with the tables found and the classes deduplicated before the
+    deadline.  ``workers`` is accepted for compatibility; ignored, the
+    search is serial.
     """
     if n < 1:
         raise DomainError(f"order must be >= 1, got {n}")
@@ -305,7 +318,7 @@ def enumerate_groups(
         raw.extend(_search_tables(n, deadline=deadline))
     except _TimeoutSignal:
         timed_out = True
-    groups = _dedup_classes(raw, n)
+    groups, dedup_timed_out = _dedup_classes(raw, n, deadline)
     elapsed = time.monotonic() - start
     result = EnumerationResult(
         order=n,
@@ -313,7 +326,7 @@ def enumerate_groups(
         tables_explored=len(raw),
         elapsed=elapsed,
     )
-    if timed_out:
+    if timed_out or dedup_timed_out:
         raise EnumerationTimeout(
             f"enumeration of order {n} timed out after {timeout}s", partial=result
         )
@@ -326,7 +339,7 @@ def enumerate_groups_reference(n: int) -> EnumerationResult:
     start = time.monotonic()
     cells = [(a, b) for a in range(1, n) for b in range(1, n)]
     raw = list(_search_tables(n, normalized=False, derive=False, cell_order=cells))
-    groups = _dedup_classes(raw, n)
+    groups, _ = _dedup_classes(raw, n)
     return EnumerationResult(
         order=n,
         groups=tuple(groups),

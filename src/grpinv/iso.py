@@ -1,12 +1,18 @@
 """Isomorphism testing for small finite groups.
 
-The test is a two-stage affair: a cheap fingerprint of isomorphism
-invariants filters out obvious mismatches, then a backtracking search
-maps a minimal generating sequence of one group onto order-compatible
-images in the other, extending each candidate assignment through the
-subgroup closure and verifying the full homomorphism property at the end.
-Witnesses are deterministic: generators are picked lowest-index-first and
-candidate images are tried in ascending order.
+A cheap fingerprint of invariants filters out mismatches; its center is
+the set of elements commuting with every generator, an n x gens test.
+A backtracking search then maps a greedy generating sequence of one
+group onto order-compatible images in the other.  Each choice of image
+is replayed through a chain whose (a, b) pairs are G x generators, each
+once, so O(n * gens) lookups: an entry with a new product derives an
+image, every other entry is a relation checked on the spot, since a
+bijection fixing e is a homomorphism iff f(z*g) = f(z)*f(g) for all z and
+all generators g.  The full homomorphism check, streamed over row blocks,
+still certifies every witness.  Generators are picked lowest-index-first
+and images tried in ascending order, so the witness is the
+lexicographically first generator-image tuple that extends to an
+isomorphism.
 """
 
 from __future__ import annotations
@@ -16,6 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import FiniteGroup, element_orders, invariants
+
+#: Table cells compared per block by ``is_homomorphic_bijection``.
+_CHECK_BLOCK = 1 << 18
 
 __all__ = [
     "IsoFingerprint",
@@ -59,57 +68,76 @@ class IsoWitness:
 
 def fingerprint(G: FiniteGroup) -> IsoFingerprint:
     inv = invariants(G)
-    commutes = G.table == G.table.T
+    generators, _ = _generating_sequence(G)
+    gens = np.asarray(generators, dtype=np.intp)
+    # z is central iff it commutes with every generator: an n x gens test.
+    central = (G.table[:, gens] == G.table[gens, :].T).all(axis=1)
+    center_size = int(central.sum())
     return IsoFingerprint(
         order=G.order,
         order_histogram=tuple(sorted(inv.order_histogram.items())),
-        abelian=bool(commutes.all()),
-        center_size=int(commutes.all(axis=1).sum()),
+        abelian=center_size == G.order,
+        center_size=center_size,
         i=inv.i,
         c=inv.c,
     )
 
 
 def _generating_sequence(G: FiniteGroup):
-    """Greedy minimal generating sequence with a closure derivation chain.
+    """Greedy generating sequence with a derivation-and-check chain.
 
-    Returns (generators, chain) where chain is a list of per-generator
-    segments; each segment lists (element, a, b) entries meaning
-    element = a*b with a and b already reachable.  Replaying a segment in
-    order extends a partial map over the enlarged span.
+    Returns (generators, chain) where chain holds one segment per
+    generator x.  A segment lists (element, a, b, new) entries with
+    element = a*b, a already reached and b a generator chosen so far:
+    new entries derive an element seen for the first time, the others
+    are relations to check.  The segment walks the span breadth-first
+    from x, right-multiplying each newly reached element by every chosen
+    generator, then closes with z*x for every z of the previous span, so
+    the (a, b) pairs over all segments are G x generators, each once.
     """
     n = G.order
     item = G.table.item
-    span = {0}
+    in_span = bytearray(n)
+    in_span[0] = 1
+    span = [0]
     generators: list[int] = []
-    chain: list[list[tuple[int, int, int]]] = []
+    chain: list[list[tuple[int, int, int, bool]]] = []
     for x in range(1, n):
-        if x in span:
+        if in_span[x]:
             continue
         generators.append(x)
-        segment: list[tuple[int, int, int]] = []
-        span.add(x)
-        frontier = [x]
-        while frontier:
-            z = frontier.pop(0)
-            for a in sorted(span):
-                for candidate, lhs, rhs in ((item(a, z), a, z), (item(z, a), z, a)):
-                    if candidate not in span:
-                        span.add(candidate)
-                        segment.append((candidate, lhs, rhs))
-                        frontier.append(candidate)
+        segment: list[tuple[int, int, int, bool]] = []
+        in_span[x] = 1
+        reached = [x]
+        for w in reached:
+            for g in generators:
+                z = item(w, g)
+                new = not in_span[z]
+                if new:
+                    in_span[z] = 1
+                    reached.append(z)
+                segment.append((z, w, g, new))
+        for z in span:
+            segment.append((item(z, x), z, x, False))
+        span.extend(reached)
         chain.append(segment)
     return generators, chain
 
 
 def is_homomorphic_bijection(G: FiniteGroup, H: FiniteGroup, bijection) -> bool:
-    """Check bijectivity plus f(ab) = f(a)f(b) over all pairs."""
+    """Check bijectivity plus f(ab) = f(a)f(b) over all pairs, streaming
+    over blocks of rows so that memory stays O(n * block)."""
     m = np.asarray(bijection, dtype=np.int64)
     if m.shape != (G.order,) or len(set(m.tolist())) != G.order:
         return False
     if H.order != G.order or m[0] != 0:
         return False
-    return bool(np.array_equal(m[G.table], H.table[m[:, None], m[None, :]]))
+    step = max(1, _CHECK_BLOCK // G.order)
+    for start in range(0, G.order, step):
+        block = slice(start, start + step)
+        if not np.array_equal(m[G.table[block]], H.table[m[block, None], m]):
+            return False
+    return True
 
 
 def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> IsoWitness | None:
@@ -145,8 +173,13 @@ def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> IsoWitness | None:
             mapping[g] = image
             used[image] = True
             ok = True
-            for element, a, b in segment:
+            for element, a, b, new in segment:
                 value = item_h(mapping[a], mapping[b])
+                if not new:
+                    if mapping[element] != value:
+                        ok = False
+                        break
+                    continue
                 if used[value]:
                     ok = False
                     break
@@ -192,14 +225,18 @@ def identify(G: FiniteGroup, catalog=None) -> str | None:
         )
 
         n = G.order
-        candidates = [make_cyclic(n)]
+        families = [make_cyclic]
         if n % 2 == 0:
-            candidates.append(make_dihedral(n))
+            families.append(make_dihedral)
         if n % 4 == 0:
-            candidates.append(make_dicyclic(n))
+            families.append(make_dicyclic)
         if n & (n - 1) == 0:
-            candidates.append(make_elementary_abelian_2(n.bit_length() - 1))
-        for candidate in candidates:
+            families.append(lambda m: make_elementary_abelian_2(m.bit_length() - 1))
+        # One table of order n at a time: each candidate is released
+        # before the next is built.
+        for build in families:
+            candidate = build(n)
             if fingerprint(candidate) == fp and are_isomorphic(G, candidate):
                 return candidate.name
+            del candidate
     return None

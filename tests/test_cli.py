@@ -200,6 +200,14 @@ def test_semidirect_expr_over_cap_exits_fast(capsys):
     assert "exceeds the table cap" in capsys.readouterr().err
 
 
+def test_prime_cap_over_ceiling_exits_fast(capsys):
+    start = time.monotonic()
+    argv = ["approx-beta", "0.5", "--eps", "0.001", "--prime-cap", "1000000000000"]
+    assert run(argv) == 3
+    assert time.monotonic() - start < 2.0
+    assert "exceeds the ceiling" in capsys.readouterr().err
+
+
 def test_exit_counterexample(monkeypatch, capsys):
     fake = VerificationReport(
         claim="T2.2",

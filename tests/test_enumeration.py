@@ -1,7 +1,10 @@
 import threading
+import types
 
+import numpy as np
 import pytest
 
+from grpinv import enumeration
 from grpinv.enumeration import (
     EnumerationResult,
     all_groups_upto,
@@ -118,6 +121,33 @@ def test_timeout_carries_partial_progress():
     partial = exc_info.value.partial
     assert isinstance(partial, EnumerationResult)
     assert partial.order == 12
+
+
+def test_timeout_covers_dedup(monkeypatch):
+    full = enumerate_groups(12)
+    # The clock stands still during the search and ticks one second per
+    # reading afterwards, so the deadline passes three tables into dedup.
+    clock = {"now": 0.0, "tick": 0.0}
+
+    def monotonic():
+        clock["now"] += clock["tick"]
+        return clock["now"]
+
+    real_search = enumeration._search_tables
+
+    def search_then_tick(*args, **kwargs):
+        yield from real_search(*args, **kwargs)
+        clock["tick"] = 1.0
+
+    monkeypatch.setattr(enumeration, "time", types.SimpleNamespace(monotonic=monotonic))
+    monkeypatch.setattr(enumeration, "_search_tables", search_then_tick)
+    with pytest.raises(EnumerationTimeout) as exc_info:
+        enumerate_groups(12, timeout=3.0)
+    partial = exc_info.value.partial
+    assert partial.tables_explored == full.tables_explored
+    assert 0 < len(partial.groups) < len(full.groups)
+    for G in partial.groups:
+        assert any(np.array_equal(G.table, H.table) for H in full.groups)
 
 
 def test_census_orders_13_to_15():

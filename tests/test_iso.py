@@ -1,7 +1,13 @@
+import hashlib
 import itertools
 import random
+import time
+import tracemalloc
 
 from grpinv.catalog import builtin_catalog, catalog_group
+from grpinv.enumeration import all_groups_upto
+from grpinv import iso
+from grpinv.expr import evaluate, parse_group_expr
 from grpinv.groups import (
     direct_product,
     make_cyclic,
@@ -11,11 +17,15 @@ from grpinv.groups import (
     semidirect_zn_z2,
 )
 from grpinv.iso import (
+    _generating_sequence,
     are_isomorphic,
     fingerprint,
     identify,
     is_homomorphic_bijection,
 )
+
+
+PINNED_DIGEST = "3d14b3a40cd484b685bcc7cd64ff499128a6883ffe0acce03f2172233e144d53"
 
 
 def test_fingerprint_examples():
@@ -126,3 +136,96 @@ def test_deterministic_witness():
     a = are_isomorphic(make_dihedral(12), semidirect_zn_z2(6, 5))
     b = are_isomorphic(make_dihedral(12), semidirect_zn_z2(6, 5))
     assert a == b
+
+
+def _classes_and_catalog():
+    """Every class of order <= 16 (by order, then class index), then every
+    catalog group in catalog order."""
+    classes = [G for result in all_groups_upto(16).values() for G in result.groups]
+    return classes + [entry.group for entry in builtin_catalog()]
+
+
+def _same_order_pairs(groups):
+    return [(G, H) for G, H in itertools.product(groups, repeat=2) if G.order == H.order]
+
+
+def test_generating_chain_covers_g_times_generators_once():
+    for G in _classes_and_catalog():
+        generators, chain = _generating_sequence(G)
+        entries = [entry for segment in chain for entry in segment]
+        for element, a, b, _new in entries:
+            assert element == G.mult(a, b), (G, element, a, b)
+        pairs = sorted((a, b) for _element, a, b, _new in entries)
+        assert pairs == sorted(itertools.product(range(G.order), generators)), G
+        derived = [element for element, _a, _b, new in entries if new]
+        assert len(derived) == G.order - 1 - len(generators), G
+        assert sorted(derived + generators + [0]) == list(range(G.order)), G
+
+
+def test_fingerprints_witnesses_and_names_are_pinned():
+    # Recorded with the earlier two-sided closure and full-table center:
+    # a change in any witness, fingerprint field or name changes it.
+    groups = _classes_and_catalog()
+    digest = hashlib.sha256()
+    for G in groups:
+        digest.update(repr((fingerprint(G), identify(G))).encode())
+    for G, H in _same_order_pairs(groups):
+        witness = are_isomorphic(G, H)
+        digest.update(repr(None if witness is None else witness.bijection).encode())
+    assert digest.hexdigest() == PINNED_DIGEST
+
+
+def test_chain_checks_leave_only_isomorphisms_to_certify(monkeypatch):
+    # The chain checks f(z*g) = f(z)*f(g) for every z and generator g, so
+    # every assignment that reaches the full-table check is a homomorphism.
+    verdicts = []
+
+    def recording(G, H, bijection):
+        verdicts.append(is_homomorphic_bijection(G, H, bijection))
+        return verdicts[-1]
+
+    monkeypatch.setattr(iso, "is_homomorphic_bijection", recording)
+    for G, H in _same_order_pairs(_classes_and_catalog()):
+        are_isomorphic(G, H)
+    assert verdicts and all(verdicts)
+
+
+def _traced_identify(text):
+    G = evaluate(parse_group_expr(text))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        name = identify(G)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return name, elapsed, peak
+
+
+def test_identify_positive_at_order_4092_is_fast_and_lean():
+    name, elapsed, peak = _traced_identify("Z(2)xD(2046)")
+    assert name == "D4092"
+    assert elapsed < 5.0
+    assert peak < 200 * 2**20
+
+
+def test_identify_negative_at_order_4088_is_fast_and_lean():
+    name, elapsed, peak = _traced_identify("Z(2)xZ(2)xD(1022)")
+    assert name is None
+    assert elapsed < 5.0
+    assert peak < 200 * 2**20
+
+
+def test_homomorphism_check_streams_and_rejects_a_swap():
+    G = make_dihedral(4092)
+    witness = list(range(G.order))
+    witness[1], witness[2] = witness[2], witness[1]
+    tracemalloc.start()
+    try:
+        assert is_homomorphic_bijection(G, G, tuple(range(G.order)))
+        assert not is_homomorphic_bijection(G, G, witness)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

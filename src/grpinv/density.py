@@ -16,6 +16,13 @@ outcome (exact ties, e.g. t = 4/5, land in the fallback).  A stepwise
 fully-big-integer loop would go quadratic for targets that need most of
 the ~78k primes under the default cap; the screened loop is
 behaviourally identical and linear.
+
+Targets below the floor are decided exactly before any scan: when the
+full product exceeds t + eps, every prefix product does too, so the
+greedy would take every prime and never stop.  Large selections are
+reduced in prime-exponent space (the exponent of each prime in
+prod (p+1)/(p+2), found by vectorised trial division), so no gcd ever
+runs on the half-million-digit unreduced products.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .arith import DEFAULT_PRIME_CAP, MAX_PRIME_CAP, iter_odd_primes
 from .errors import (
@@ -42,8 +51,17 @@ __all__ = [
     "materialize",
 ]
 
-#: Absolute slack below which a float comparison is not trusted.
+#: Absolute slack below which a float comparison is not trusted.  It also
+#: covers the error of the numpy sum behind the floor screen (under 2e-10
+#: for the ~665k terms at MAX_PRIME_CAP).
 _MARGIN = 1e-9
+
+#: Selections of at least this many primes are reduced by prime exponents
+#: rather than by Fraction's gcd.  Measured on a 2-core x86-64 host with
+#: Python 3.11: 3k scattered primes 3.5 ms by exponents vs 2.3 ms by
+#: Fraction, 5k 6.1 vs 6.8 ms, 10k 15 vs 30 ms, the 78,497 primes up to
+#: 10**6 0.2 vs 1.9 s.
+_EXPONENT_ROUTE_MIN = 5_000
 
 
 @dataclass(frozen=True, repr=False)
@@ -90,17 +108,110 @@ def selection_beta(selection) -> Fraction:
     return Fraction(_prod([p + 1 for p in primes]), _prod([p + 2 for p in primes]))
 
 
-@functools.lru_cache(maxsize=4)
-def _every_odd_prime_product(prime_cap: int):
-    """(count, num, den, beta) over every odd prime up to the cap.
+def _exponent_beta(primes) -> Fraction:
+    """selection_beta(primes) built from the exponent of each prime in the
+    product, so no gcd runs on the unreduced products.
 
-    Unreachable targets end up including every available prime, so the
-    heavy half-million-digit product and its reduction are shared.
+    Every p + 1 and p + 2 is at most max(primes) + 2, so after trial
+    division by the primes up to its square root what is left of each
+    value is 1 or a prime, and the numerator and denominator come out
+    coprime: Fraction's own gcd on them is cheap.
     """
-    primes = list(iter_odd_primes(prime_cap))
-    num = _prod([p + 1 for p in primes])
-    den = _prod([p + 2 for p in primes])
-    return len(primes), num, den, Fraction(num, den)
+    # int32 holds p + 2 up to MAX_PRIME_CAP and divides faster than int64.
+    values = np.array(primes, dtype=np.int32)
+    rest = np.concatenate([values + 1, values + 2])
+    sign = np.repeat(np.array([1, -1]), len(values))
+    bases, exponents = [], []
+    for q in [2, *iter_odd_primes(math.isqrt(int(values.max()) + 2))]:
+        hit = np.flatnonzero(rest % q == 0)
+        e = 0
+        while hit.size:
+            rest[hit] //= q
+            e += int(sign[hit].sum())
+            hit = hit[rest[hit] % q == 0]
+        bases.append(q)
+        exponents.append(e)
+    left = rest > 1
+    large, where = np.unique(rest[left], return_inverse=True)
+    bases += large.tolist()
+    exponents += np.bincount(where, weights=sign[left]).astype(np.int64).tolist()
+    num = _prod([b**e for b, e in zip(bases, exponents) if e > 0])
+    den = _prod([b**-e for b, e in zip(bases, exponents) if e < 0])
+    return Fraction(num, den)
+
+
+#: Bits kept of the running product in _log_of_product.  Above 1024, so a
+#: truncated product is too large for a float, the case the frexp form
+#: below reproduces.
+_KEPT_BITS = 1088
+
+
+def _log_of_product(values: list[int]) -> float:
+    """math.log(prod(values)), bit for bit, without forming the product.
+
+    For an int too large for a float, math.log returns
+    log(m) + log(2) * e, where m * 2**e is the int correctly rounded to 53
+    bits.  The product is bracketed between floor- and ceiling-truncated
+    running products; if the two ends round differently the exact product
+    decides.
+    """
+    lo = hi = 1
+    shift = 0
+    for start in range(0, len(values), 64):
+        part = math.prod(values[start : start + 64])
+        lo *= part
+        hi *= part
+        drop = lo.bit_length() - _KEPT_BITS
+        if drop > 0:
+            lo >>= drop
+            hi = -(-hi >> drop)
+            shift += drop
+    if shift == 0:
+        return math.log(lo)
+    ends = set()
+    for end in (lo, hi):
+        bits = end.bit_length()
+        mantissa, exponent = math.frexp(end / (1 << (bits - 1)))
+        ends.add((mantissa, exponent + bits - 1 + shift))
+    if len(ends) > 1:
+        return math.log(_prod(values))
+    ((mantissa, exponent),) = ends
+    return math.log(mantissa) + math.log(2.0) * exponent
+
+
+@dataclass(frozen=True)
+class _FullProduct:
+    """Every odd prime up to a cap, the exact beta of their product, and
+    math.log of its unreduced numerator and denominator."""
+
+    primes: tuple[int, ...]
+    beta: Fraction
+    log_num: float
+    log_den: float
+
+
+@functools.lru_cache(maxsize=4)
+def _every_odd_prime_product(prime_cap: int) -> _FullProduct:
+    """Shared by every target below the floor of this cap."""
+    primes = tuple(iter_odd_primes(prime_cap))
+    if len(primes) >= _EXPONENT_ROUTE_MIN:
+        beta = _exponent_beta(primes)
+    else:
+        beta = selection_beta(primes)
+    return _FullProduct(
+        primes=primes,
+        beta=beta,
+        log_num=_log_of_product([p + 1 for p in primes]),
+        log_den=_log_of_product([p + 2 for p in primes]),
+    )
+
+
+@functools.lru_cache(maxsize=4)
+def _log_floor(prime_cap: int) -> float:
+    """ln(1/floor) = sum of ln((p+2)/(p+1)) over the odd primes up to the
+    cap, as a float within _MARGIN of the exact sum."""
+    primes = np.fromiter(iter_odd_primes(prime_cap), dtype=np.float64)
+    return float(np.log1p(1.0 / (primes + 1.0)).sum())
 
 
 def _as_exact(value, label: str) -> Fraction:
@@ -175,15 +286,41 @@ def approximate_beta(
 
     def build(scanned: int) -> PrimeSelection:
         a, b = flush()
+        if len(chosen) >= _EXPONENT_ROUTE_MIN:
+            beta = _exponent_beta(chosen)
+        else:
+            beta = Fraction(a, b)
         return PrimeSelection(
             primes=tuple(chosen),
-            predicted_beta=Fraction(a, b),
+            predicted_beta=beta,
             log_residual=max(exact_residual(), 0.0),
             primes_scanned=scanned,
         )
 
     if exact_close_enough():
         return build(0)
+
+    def exhausted(best: PrimeSelection) -> ConvergenceError:
+        return ConvergenceError(
+            f"prime cap {prime_cap} exhausted before |beta - {target}| <= {eps}",
+            best=best,
+        )
+
+    # Below the floor: the full product F exceeds t + eps, so does every
+    # prefix product, and the greedy would take every prime without ever
+    # landing within eps.  The float test (residual - stop_bar is
+    # ln(1/(t + eps))) can only rule that out; the exact comparison decides.
+    if residual - stop_bar > _log_floor(prime_cap) - _MARGIN:
+        full = _every_odd_prime_product(prime_cap)
+        if full.beta > target + eps:
+            residual_exact = full.log_num + math.log(td) - full.log_den - math.log(tn)
+            best = PrimeSelection(
+                primes=full.primes,
+                predicted_beta=full.beta,
+                log_residual=max(residual_exact, 0.0),
+                primes_scanned=len(full.primes),
+            )
+            raise exhausted(best)
 
     scanned = 0
     for p in iter_odd_primes(prime_cap):
@@ -212,28 +349,7 @@ def approximate_beta(
                 return selection
             residual = exact_residual()
             drift = _MARGIN / 2
-    if len(chosen) == scanned:
-        # Every available prime went in; share the cached full product
-        # instead of reducing a fresh half-million-digit fraction.
-        count, num_all, den_all, beta_all = _every_odd_prime_product(prime_cap)
-        if count == len(chosen):
-            residual_exact = (
-                math.log(num_all) + math.log(td) - math.log(den_all) - math.log(tn)
-            )
-            best = PrimeSelection(
-                primes=tuple(chosen),
-                predicted_beta=beta_all,
-                log_residual=max(residual_exact, 0.0),
-                primes_scanned=scanned,
-            )
-        else:  # pragma: no cover - scanned always covers the cap here
-            best = build(scanned)
-    else:
-        best = build(scanned)
-    raise ConvergenceError(
-        f"prime cap {prime_cap} exhausted before |beta - {target}| <= {eps}",
-        best=best,
-    )
+    raise exhausted(build(scanned))
 
 
 def materialize(

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from threading import Lock
 
 import numpy as np
 
@@ -349,7 +348,6 @@ def enumerate_groups_reference(n: int) -> EnumerationResult:
 
 
 _UPTO_CACHE: dict[int, EnumerationResult] = {}
-_UPTO_LOCK = Lock()
 
 
 def all_groups_upto(
@@ -368,11 +366,9 @@ def all_groups_upto(
         )
     results = {}
     for m in range(1, max_order + 1):
-        with _UPTO_LOCK:
-            cached = _UPTO_CACHE.get(m)
+        cached = _UPTO_CACHE.get(m)
         if cached is None:
             cached = enumerate_groups(m, enum_cap=enum_cap)
-            with _UPTO_LOCK:
-                _UPTO_CACHE[m] = cached
+            _UPTO_CACHE[m] = cached
         results[m] = cached
     return results

@@ -76,9 +76,6 @@ class FiniteGroup:
     def mult(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
-    def inverse(self, a: int) -> int:
-        return int(np.argmax(self.table[a] == 0))
-
     def __len__(self) -> int:
         return self.order
 

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -7,8 +8,10 @@ from itertools import takewhile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from grpinv import density
+from grpinv.arith import iter_odd_primes
 from grpinv.density import (
     PrimeSelection,
     TooLarge,
@@ -95,26 +98,93 @@ def test_monotone_refinement_prefix_property():
     assert fine.primes[: len(coarse.primes)] == coarse.primes
 
 
+GREEDY_EPS = Fraction(1, 100)
+# The product over every odd prime up to 100 is F = 0.3389; up to 10^4 it
+# is 0.1721, so targets below 0.1621 cannot come within 1/100 under 10^4.
+FULL_100 = selection_beta(list(iter_odd_primes(100)))
+
+
 @settings(deadline=None, max_examples=30)
-@given(st.integers(min_value=1300, max_value=9899))
-def test_greedy_matches_naive_exact_greedy(numerator):
+@given(
+    st.one_of(
+        st.builds(lambda n: (Fraction(n, 10**4), 10**6), st.integers(1300, 9899)),
+        st.builds(lambda n: (Fraction(n, 10**4), 10**4), st.integers(1300, 2200)),
+    )
+)
+# t = F - eps lands exactly on the last prime; just below it, F > t + eps.
+@example((FULL_100 - GREEDY_EPS, 100))
+@example((FULL_100 - GREEDY_EPS - Fraction(1, 10**12), 100))
+def test_greedy_matches_naive_exact_greedy(case):
     # oracle: the plain unscreened exact greedy, affordable at eps = 1e-2
-    t = Fraction(numerator, 10**4)
-    eps = Fraction(1, 100)
+    t, prime_cap = case
+    eps = GREEDY_EPS
     product = Fraction(1)
     chosen = []
-    from grpinv.arith import iter_odd_primes
-
-    for p in iter_odd_primes(10**6):
-        step = product * Fraction(p + 1, p + 2)
-        if step >= t:
-            product = step
-            chosen.append(p)
-            if product - t <= eps:
-                break
-    sel = approximate_beta(t, eps)
+    scanned = 0
+    converged = product - t <= eps
+    if not converged:
+        for p in iter_odd_primes(prime_cap):
+            scanned += 1
+            step = product * Fraction(p + 1, p + 2)
+            if step >= t:
+                product = step
+                chosen.append(p)
+                if product - t <= eps:
+                    converged = True
+                    break
+    if converged:
+        sel = approximate_beta(t, eps, prime_cap=prime_cap)
+    else:
+        with pytest.raises(ConvergenceError) as exc_info:
+            approximate_beta(t, eps, prime_cap=prime_cap)
+        sel = exc_info.value.best
     assert sel.primes == tuple(chosen)
     assert sel.predicted_beta == product
+    assert sel.primes_scanned == scanned
+
+
+def test_exponent_reduction_matches_selection_beta(monkeypatch):
+    primes = list(iter_odd_primes(2 * 10**5))
+    cut = density._EXPONENT_ROUTE_MIN
+    assert len(primes) == 17983 > cut
+    for n in (1, 10, 1000, cut - 1, cut, len(primes)):
+        assert density._exponent_beta(primes[:n]) == selection_beta(primes[:n])
+
+    # Selections from the cutoff up take the exponent route, both in the
+    # greedy's result and in the shared full product below the floor.
+    reduced = []
+    exponent_beta = density._exponent_beta
+    monkeypatch.setattr(
+        density,
+        "_exponent_beta",
+        lambda selection: reduced.append(len(selection)) or exponent_beta(selection),
+    )
+    for n in (cut - 1, cut):
+        # The exact prefix product is hit on its last prime and nowhere else.
+        sel = approximate_beta(selection_beta(primes[:n]), Fraction(1, 10**9))
+        assert sel.primes == tuple(primes[:n])
+        assert sel.predicted_beta == selection_beta(primes[:n])
+    density._every_odd_prime_product.cache_clear()
+    with pytest.raises(ConvergenceError) as exc_info:
+        approximate_beta(Fraction(1, 10), GREEDY_EPS, prime_cap=2 * 10**5)
+    assert exc_info.value.best.predicted_beta == selection_beta(primes)
+    assert reduced == [cut, len(primes)]
+
+
+def test_log_of_product_is_math_log_bit_for_bit():
+    primes = list(iter_odd_primes(2 * 10**5))
+    cases = [
+        [],
+        [7],
+        [p + 1 for p in primes[:30]],  # fits a float
+        [p + 2 for p in primes[:140]],  # just past the kept bits
+        [p + 1 for p in primes],
+        [p + 2 for p in primes],
+        [2**2000 + 2**1947],  # a rounding tie, kept exactly
+        [2**2000 + 2**1947 + 1],  # floor and ceiling round apart
+    ]
+    for values in cases:
+        assert density._log_of_product(values) == math.log(density._prod(values))
 
 
 def test_materialize_small_and_too_large():

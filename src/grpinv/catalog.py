@@ -19,6 +19,7 @@ from .groups import (
     FiniteGroup,
     _freeze,
     direct_product,
+    inverses,
     make_cyclic,
     make_dicyclic,
     make_dihedral,
@@ -91,21 +92,16 @@ def generalized_dihedral(G: FiniteGroup, name: str | None = None) -> FiniteGroup
     """Extension of an abelian group by the inversion x -> x^-1."""
     if not np.array_equal(G.table, G.table.T):
         raise DomainError("inversion is an automorphism only for abelian groups")
-    inverse = np.argmax(G.table == 0, axis=1)
-    return split_extension_by_involution(G, inverse, name=name)
-
-
-def _conjugation(G: FiniteGroup, g: int) -> list[int]:
-    item = G.table.item
-    g_inv = int(np.argmax(G.table[g] == 0))
-    return [item(item(g, x), g_inv) for x in range(G.order)]
+    return split_extension_by_involution(G, inverses(G), name=name)
 
 
 def _q8_extension() -> FiniteGroup:
     """Q8 extended by conjugation with a 4-element: the order-16 group with
     c = 12 (center of order 4 generated by a mixed element)."""
     q8 = make_dicyclic(8)
-    return split_extension_by_involution(q8, _conjugation(q8, 1), name="Q8:Z2")
+    # x -> a x a^-1 for a = index 1.
+    conjugation = q8.table[q8.table[1], inverses(q8)[1]]
+    return split_extension_by_involution(q8, conjugation, name="Q8:Z2")
 
 
 def _v4_by_z4_swap() -> FiniteGroup:

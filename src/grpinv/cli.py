@@ -323,37 +323,46 @@ def _cmd_approx_beta(config: _Config, args) -> int:
     target = _parse_target(args.target)
     eps = _parse_target(args.eps)
     selection = density.approximate_beta(target, eps, prime_cap=config.prime_cap)
-    beta = selection.predicted_beta
-    record = {
-        "target_num": target.numerator,
-        "target_den": target.denominator,
-        "eps_num": eps.numerator,
-        "eps_den": eps.denominator,
-        "primes": list(selection.primes),
-        "beta_num": beta.numerator,
-        "beta_den": beta.denominator,
-        "primes_scanned": selection.primes_scanned,
-    }
-    human = (
-        f"target {target}  eps {eps}\n"
-        f"primes: {' '.join(str(p) for p in selection.primes) or '(none)'}\n"
-        f"beta: {beta.numerator}/{beta.denominator}  (~{float(beta):.6f}, "
-        f"log residual {selection.log_residual:.3e})\n"
-        f"primes scanned: {selection.primes_scanned}"
-    )
-    if args.materialize:
-        outcome = density.materialize(selection, order_cap=config.table_cap)
-        if isinstance(outcome, density.TooLarge):
-            record["required_order"] = outcome.required_order
-            human += f"\nmaterialize: too large (required order {outcome.required_order})"
-        else:
-            record["materialized_order"] = outcome.order
-            counted = invariants(outcome).beta
-            human += (
-                f"\nmaterialized {outcome.name} (order {outcome.order}), counted "
-                f"beta {counted.numerator}/{counted.denominator}"
-            )
-    _emit(config, record, human)
+    # An exact beta near the floor runs to ~80k digits: lift the int-to-str
+    # limit only while the record and the text are built and printed.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        beta = selection.predicted_beta
+        record = {
+            "target_num": target.numerator,
+            "target_den": target.denominator,
+            "eps_num": eps.numerator,
+            "eps_den": eps.denominator,
+            "primes": list(selection.primes),
+            "beta_num": beta.numerator,
+            "beta_den": beta.denominator,
+            "primes_scanned": selection.primes_scanned,
+        }
+        human = (
+            f"target {target}  eps {eps}\n"
+            f"primes: {' '.join(str(p) for p in selection.primes) or '(none)'}\n"
+            f"beta: {beta.numerator}/{beta.denominator}  (~{float(beta):.6f}, "
+            f"log residual {selection.log_residual:.3e})\n"
+            f"primes scanned: {selection.primes_scanned}"
+        )
+        if args.materialize:
+            outcome = density.materialize(selection, order_cap=config.table_cap)
+            if isinstance(outcome, density.TooLarge):
+                record["required_order"] = outcome.required_order
+                human += (
+                    f"\nmaterialize: too large (required order {outcome.required_order})"
+                )
+            else:
+                record["materialized_order"] = outcome.order
+                counted = invariants(outcome).beta
+                human += (
+                    f"\nmaterialized {outcome.name} (order {outcome.order}), counted "
+                    f"beta {counted.numerator}/{counted.denominator}"
+                )
+        _emit(config, record, human)
+    finally:
+        sys.set_int_max_str_digits(limit)
     return EXIT_OK
 
 

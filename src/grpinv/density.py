@@ -220,6 +220,19 @@ def _as_exact(value, label: str) -> Fraction:
     return Fraction(value)
 
 
+def _printable(q: Fraction) -> str:
+    """``str(q)``, or ``~0.1234 (N-digit denominator)`` when that would
+    exceed the interpreter's int-to-str digit limit."""
+    try:
+        return str(q)
+    except ValueError:
+        den = q.denominator
+        # A b-bit integer has floor(b log10 2) or one more decimal digits.
+        digits = int(den.bit_length() * math.log10(2))
+        digits += den >= 10**digits
+        return f"~{float(q):.4g} ({digits}-digit denominator)"
+
+
 def approximate_beta(
     target,
     eps,
@@ -302,7 +315,8 @@ def approximate_beta(
 
     def exhausted(best: PrimeSelection) -> ConvergenceError:
         return ConvergenceError(
-            f"prime cap {prime_cap} exhausted before |beta - {target}| <= {eps}",
+            f"prime cap {prime_cap} exhausted before "
+            f"|beta - {_printable(target)}| <= {_printable(eps)}",
             best=best,
         )
 

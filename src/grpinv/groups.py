@@ -14,9 +14,10 @@ The invariants of interest are
 All of them follow from the element orders alone: with n_d elements of
 order d, ``i = n_1 + n_2`` and, since a cyclic subgroup of order d has
 phi(d) generators, ``c = sum_d n_d / phi(d)``.  The order vector is the
-one thing scanned and cached per group; each power walk from an element
-of still unknown order k yields the order ``k / gcd(j, k)`` of its j-th
-power.  Cyclic subgroups themselves are built only on request.
+one thing scanned and cached per group: involutions come off the
+diagonal, and each power walk from an element of still unknown order k
+yields the order ``k / gcd(j, k)`` of its j-th power.  Cyclic subgroups
+themselves are built only on request.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ __all__ = [
     "element_orders",
     "element_order",
     "involution_count",
+    "inverses",
     "cyclic_subgroups",
     "invariants",
     "is_normal_subgroup",
@@ -170,13 +172,27 @@ def verify_axioms(table, name: str | None = None) -> FiniteGroup:
 # Constructors
 
 
+def _circulant(n: int, *, offset: int = 0, shift: int = 0, sign: int = 1) -> np.ndarray:
+    """Read-only (n, n) view with ``[a, b] = (a + sign*b + shift) % n + offset``.
+
+    Row a is a length-n window of ``v = (arange(2n) + shift) % n + offset``:
+    the one starting at a for sign = +1.  For sign = -1, v is reversed and
+    the windows are taken from the end, row a starting at n-1-a.  No n x n
+    array is computed; copying the view out is the only O(n^2) work.
+    """
+    start = 0 if sign == 1 else n - 1
+    v = (sign * (np.arange(2 * n, dtype=np.int32) - start) + shift) % n + offset
+    return np.lib.stride_tricks.sliding_window_view(v, n)[start::sign][:n]
+
+
 def make_cyclic(n: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> FiniteGroup:
     """Cyclic group of order n."""
     if n < 1:
         raise DomainError(f"cyclic group needs order >= 1, got {n}")
     _check_cap(n, table_cap)
-    i = np.arange(n, dtype=np.int32)
-    return _freeze((i[:, None] + i[None, :]) % np.int32(n), name=f"Z{n}")
+    table = np.empty((n, n), dtype=np.int32)
+    table[:] = _circulant(n)
+    return _freeze(table, name=f"Z{n}")
 
 
 def make_dihedral(m: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> FiniteGroup:
@@ -185,15 +201,12 @@ def make_dihedral(m: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> FiniteGroup:
         raise DomainError(f"dihedral group needs an even order >= 2, got {m}")
     _check_cap(m, table_cap)
     n = m // 2
-    i = np.arange(n, dtype=np.int32)
-    add = (i[:, None] + i[None, :]) % np.int32(n)
-    sub = (i[:, None] - i[None, :]) % np.int32(n)
     # Indices 0..n-1 are rotations r^i, n..2n-1 are reflections r^i s.
     table = np.empty((m, m), dtype=np.int32)
-    table[:n, :n] = add
-    np.add(add, n, out=table[:n, n:])
-    np.add(sub, n, out=table[n:, :n])
-    table[n:, n:] = sub
+    table[:n, :n] = _circulant(n)
+    table[:n, n:] = _circulant(n, offset=n)
+    table[n:, :n] = _circulant(n, offset=n, sign=-1)
+    table[n:, n:] = _circulant(n, sign=-1)
     return _freeze(table, name=f"D{m}")
 
 
@@ -204,15 +217,12 @@ def make_dicyclic(m: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> FiniteGroup:
     _check_cap(m, table_cap)
     k = m // 4
     q = 2 * k
-    i = np.arange(q, dtype=np.int32)
-    add = (i[:, None] + i[None, :]) % np.int32(q)
-    sub = (i[:, None] - i[None, :]) % np.int32(q)
     # a^(2k) = e, b^2 = a^k, b a b^-1 = a^-1; indices q.. are a^i b.
     table = np.empty((m, m), dtype=np.int32)
-    table[:q, :q] = add
-    np.add(add, q, out=table[:q, q:])
-    np.add(sub, q, out=table[q:, :q])
-    table[q:, q:] = (sub + k) % q
+    table[:q, :q] = _circulant(q)
+    table[:q, q:] = _circulant(q, offset=q)
+    table[q:, :q] = _circulant(q, offset=q, sign=-1)
+    table[q:, q:] = _circulant(q, shift=k, sign=-1)
     return _freeze(table, name=f"Dic{m}")
 
 
@@ -302,7 +312,9 @@ def element_orders(G: FiniteGroup) -> tuple[int, ...]:
     cached = _ORDERS_CACHE.get(G)
     if cached is not None:
         return cached
-    orders = [0] * G.order
+    # Involutions are read off the diagonal in one pass; a walk through
+    # one would assign it k // gcd(j, k) = 2 all the same.
+    orders = np.where(np.diagonal(G.table) == 0, 2, 0).tolist()
     orders[0] = 1
     for x in range(1, G.order):
         if orders[x]:
@@ -366,6 +378,11 @@ def invariants(G: FiniteGroup) -> GroupInvariants:
     )
 
 
+def inverses(G: FiniteGroup) -> np.ndarray:
+    """The index of every element's inverse."""
+    return np.argmax(G.table == 0, axis=1)
+
+
 def is_elementary_abelian_2(G: FiniteGroup) -> bool:
     """True iff every element squares to the identity."""
     return involution_count(G) == G.order
@@ -386,9 +403,7 @@ def is_normal_subgroup(G: FiniteGroup, members) -> bool:
         for b in subgroup:
             if item(a, b) not in member_set:
                 raise DomainError("not a subgroup: set is not closed under the table")
-    inverse = np.argmax(G.table == 0, axis=1)
-    for g in range(G.order):
-        g_inv = int(inverse[g])
+    for g, g_inv in enumerate(inverses(G).tolist()):
         for s in subgroup:
             if item(item(g, s), g_inv) not in member_set:
                 return False

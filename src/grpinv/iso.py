@@ -67,8 +67,11 @@ class IsoWitness:
 
 
 def fingerprint(G: FiniteGroup) -> IsoFingerprint:
+    return _fingerprint(G, _generating_sequence(G)[0])
+
+
+def _fingerprint(G: FiniteGroup, generators) -> IsoFingerprint:
     inv = invariants(G)
-    generators, _ = _generating_sequence(G)
     gens = np.asarray(generators, dtype=np.intp)
     # z is central iff it commutes with every generator: an n x gens test.
     central = (G.table[:, gens] == G.table[gens, :].T).all(axis=1)
@@ -142,10 +145,17 @@ def is_homomorphic_bijection(G: FiniteGroup, H: FiniteGroup, bijection) -> bool:
 
 def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> IsoWitness | None:
     """A multiplicative bijection G -> H, or None when none exists."""
-    if fingerprint(G) != fingerprint(H):
+    sequence = _generating_sequence(G)
+    if _fingerprint(G, sequence[0]) != fingerprint(H):
         return None
+    return _search(G, sequence, H)
+
+
+def _search(G: FiniteGroup, sequence, H: FiniteGroup) -> IsoWitness | None:
+    """The backtracking search behind ``are_isomorphic``, from G's
+    precomputed ``(generators, chain)``; fingerprints must already match."""
     n = G.order
-    generators, chain = _generating_sequence(G)
+    generators, chain = sequence
     orders_g = element_orders(G)
     orders_h = element_orders(H)
     item_h = H.table.item
@@ -197,7 +207,12 @@ def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> IsoWitness | None:
 
     if not generators:  # trivial group
         return IsoWitness(bijection=(0,)) if H.order == 1 else None
-    return extend(0)
+    try:
+        return extend(0)
+    finally:
+        # extend reaches itself through its closure; breaking that cycle
+        # frees both tables now instead of at the next full collection.
+        del extend
 
 
 def identify(G: FiniteGroup, catalog=None) -> str | None:
@@ -211,10 +226,12 @@ def identify(G: FiniteGroup, catalog=None) -> str | None:
         from .catalog import builtin_catalog
 
         catalog = builtin_catalog()
-    fp = fingerprint(G)
+    # G's chain and fingerprint serve every candidate.
+    sequence = _generating_sequence(G)
+    fp = _fingerprint(G, sequence[0])
     for entry in catalog:
         if entry.group.order == G.order and fingerprint(entry.group) == fp:
-            if are_isomorphic(G, entry.group) is not None:
+            if _search(G, sequence, entry.group) is not None:
                 return entry.name
     if G.order > max((entry.group.order for entry in catalog), default=0):
         from .groups import (
@@ -236,7 +253,7 @@ def identify(G: FiniteGroup, catalog=None) -> str | None:
         # before the next is built.
         for build in families:
             candidate = build(n)
-            if fingerprint(candidate) == fp and are_isomorphic(G, candidate):
+            if fingerprint(candidate) == fp and _search(G, sequence, candidate):
                 return candidate.name
             del candidate
     return None

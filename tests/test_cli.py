@@ -1,11 +1,14 @@
 import json
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from grpinv import classify
 from grpinv.classify import Counterexample, VerificationReport
 from grpinv.cli import run
+from grpinv.density import approximate_beta
 
 INVARIANT_KEYS = {"group", "order", "i", "c", "r", "beta_num", "beta_den"}
 APPROX_KEYS = {
@@ -151,6 +154,24 @@ def test_approx_beta_machine(capsys):
     assert set(record) == APPROX_KEYS
     assert record["primes"] == [3, 5, 7, 11, 13, 19]
     assert record["beta_num"] == 2048 and record["beta_den"] == 4095
+
+
+def test_approx_beta_machine_prints_a_huge_exact_beta(capsys):
+    # 67,894 primes: beta has ~80k digits, past the int-to-str limit.
+    target, eps = Fraction(1161, 10000), Fraction(1, 10000)
+    argv = ["--format", "machine", "approx-beta", "0.1161", "--eps", "0.0001"]
+    assert run(argv) == 0
+    limit = sys.get_int_max_str_digits()
+    assert limit > 0
+    sys.set_int_max_str_digits(0)
+    try:
+        (record,) = machine_lines(capsys)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    beta = approximate_beta(target, eps).predicted_beta
+    assert len(record["primes"]) == 67894
+    assert record["beta_num"] == beta.numerator
+    assert record["beta_den"] == beta.denominator
 
 
 def test_approx_beta_materialize_too_large(capsys):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from grpinv import density
-from grpinv.arith import iter_odd_primes
+from grpinv.arith import iter_odd_primes, odd_primes
 from grpinv.density import (
     PrimeSelection,
     TooLarge,
@@ -78,6 +78,17 @@ def test_unreachable_target_repr_stays_printable():
     best = exc_info.value.best
     assert best.predicted_beta >= Fraction(1, 10)
     assert "beta~" in repr(best)
+
+
+def test_huge_unreachable_target_raises_convergence_error():
+    # The target's 5,264-digit denominator is past the int-to-str limit;
+    # the message must still be formatted, in a bounded form.
+    target = selection_beta(odd_primes(5000))
+    with pytest.raises(ConvergenceError) as exc_info:
+        approximate_beta(target, Fraction(1, 10**9), prime_cap=1000)
+    best = exc_info.value.best
+    assert best is not None and best.primes_scanned == len(best.primes) == 167
+    assert "(5264-digit denominator)" in str(exc_info.value)
 
 
 def test_overshoot_freedom_random_targets():

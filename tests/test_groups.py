@@ -1,5 +1,7 @@
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from grpinv.arith import tau
@@ -12,6 +14,7 @@ from grpinv.errors import (
     ResourceLimitError,
 )
 from grpinv.groups import (
+    _circulant,
     cyclic_subgroups,
     dihedral_product,
     direct_product,
@@ -301,3 +304,75 @@ def test_cyclic_subgroups_match_full_subgroup_enumeration():
         assert cyclic == oracle
         got = {frozenset(s) for s in cyclic_subgroups(G).subgroups}
         assert got == oracle, G
+
+
+def _mod_reference(build, m, rows):
+    """Rows ``rows`` of the table of ``build(m)``, from the presentation:
+    (x^i y^e)(x^j y^f) = x^(i + (-1)^e j) y^(e + f), with y^2 = x^(m/4) in
+    the dicyclic group; index i + n*e for the n rotations x^i."""
+    x = np.arange(m, dtype=np.int64)
+    if build is make_cyclic:
+        return (rows[:, None] + x) % m
+    n = m // 2
+    i, e = rows % n, rows // n
+    j, f = x % n, x // n
+    exponent = i[:, None] + (1 - 2 * e[:, None]) * j
+    if build is make_dicyclic:
+        exponent += (m // 4) * (e[:, None] & f)
+    return exponent % n + n * (e[:, None] ^ f)
+
+
+def test_circulant_view_matches_its_formula():
+    for n in range(1, 40):
+        a = np.arange(n)[:, None]
+        b = np.arange(n)[None, :]
+        for sign in (1, -1):
+            for shift in range(n):
+                view = _circulant(n, offset=7, shift=shift, sign=sign)
+                assert not view.flags.writeable
+                assert np.array_equal(view, (a + sign * b + shift) % n + 7)
+
+
+@pytest.mark.parametrize("build", [make_cyclic, make_dihedral, make_dicyclic])
+def test_circulant_builders_match_a_mod_reference(build):
+    step = {make_cyclic: 1, make_dihedral: 2, make_dicyclic: 4}[build]
+    for m in [*range(step, 301, step), *range(4092, 4097)]:
+        if m % step:
+            continue
+        G = build(m)
+        table = G.table
+        assert table.dtype == np.int32 and table.shape == (m, m), m
+        assert table.flags.c_contiguous and not table.flags.writeable, m
+        for start in range(0, m, 512):
+            rows = np.arange(start, min(start + 512, m))
+            assert np.array_equal(table[rows], _mod_reference(build, m, rows)), m
+
+
+def test_cyclic_table_build_has_no_square_temporary():
+    n = 4093
+    tracemalloc.start()
+    try:
+        G = make_cyclic(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * G.table.nbytes
+
+
+def _orders_by_power_walk(G):
+    item = G.table.item
+    orders = []
+    for x in range(G.order):
+        k, y = 1, x
+        while y != 0:
+            k, y = k + 1, item(y, x)
+        orders.append(k)
+    return tuple(orders)
+
+
+def test_element_orders_with_involutions_seeded_match_power_walks():
+    groups = [entry.group for entry in builtin_catalog()]
+    groups += [make_dicyclic(m) for m in range(4, 101, 4)]
+    groups += [dihedral_product((3, 5, 7)), dihedral_product((3, 337))]
+    for G in groups:
+        assert element_orders(G) == _orders_by_power_walk(G), G

@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import itertools
 import random
 import time
 import tracemalloc
+import weakref
 
 from grpinv.catalog import builtin_catalog, catalog_group
 from grpinv.enumeration import all_groups_upto
@@ -188,6 +190,34 @@ def test_chain_checks_leave_only_isomorphisms_to_certify(monkeypatch):
     for G, H in _same_order_pairs(_classes_and_catalog()):
         are_isomorphic(G, H)
     assert verdicts and all(verdicts)
+
+
+def test_identify_builds_the_chain_of_g_once(monkeypatch):
+    built = []
+
+    def counting(G):
+        built.append(G)
+        return _generating_sequence(G)
+
+    monkeypatch.setattr(iso, "_generating_sequence", counting)
+    G = make_elementary_abelian_2(12)
+    assert identify(G) == G.name
+    assert sum(1 for H in built if H is G) == 1
+
+
+def test_search_frees_both_groups_without_the_cycle_collector():
+    # A search that found a witness must not keep G and H alive in a
+    # reference cycle: at order ~4092 each table is 67 MB.
+    gc.disable()
+    try:
+        G, H = make_dihedral(12), semidirect_zn_z2(6, 5)
+        refs = [weakref.ref(G), weakref.ref(H)]
+        assert are_isomorphic(G, H) is not None
+        assert identify(G) == "D12"
+        del G, H
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def _traced_identify(text):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -33,6 +34,7 @@ __all__ = [
     "iter_odd_primes",
     "is_unit_involution",
     "unit_involutions",
+    "int_from_digits",
     "rational_from_decimal",
 ]
 
@@ -123,6 +125,21 @@ def unit_involutions(n: int) -> list[int]:
     return [u for u in range(1, n) if is_unit_involution(u, n)]
 
 
+def int_from_digits(digits: str, position: int | None = None) -> int:
+    """``int(digits)`` for a run of ASCII digits, checked against the
+    interpreter's int-to-str digit limit first, so an over-long literal is a
+    :class:`ParseError` rather than a ``ValueError``."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(digits) > limit:
+        where = "" if position is None else f" at position {position}"
+        raise ParseError(
+            f"integer literal of {len(digits)} digits{where} exceeds the "
+            f"{limit}-digit limit",
+            position,
+        )
+    return int(digits)
+
+
 _DECIMAL_RE = re.compile(r"([+-]?)(\d+)(?:\.(\d*))?\Z")
 
 
@@ -137,5 +154,5 @@ def rational_from_decimal(text: str) -> Fraction:
         raise ParseError(f"not a decimal literal: {text!r}")
     sign, whole, frac = m.groups()
     frac = frac or ""
-    value = Fraction(int(whole + frac) if frac else int(whole), 10 ** len(frac))
+    value = Fraction(int_from_digits(whole + frac), 10 ** len(frac))
     return -value if sign == "-" else value

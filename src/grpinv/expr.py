@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import is_unit_involution
+from .arith import int_from_digits, is_unit_involution
 from .errors import ParseError
 from .groups import (
     DEFAULT_TABLE_CAP,
@@ -84,7 +84,7 @@ def _tokenize(source: str):
             start = pos
             while pos < length and source[pos] in "0123456789":
                 pos += 1
-            tokens.append(("int", int(source[start:pos]), start))
+            tokens.append(("int", int_from_digits(source[start:pos], start), start))
         elif "A" <= ch <= "Z":
             start = pos
             while pos < length and "A" <= source[pos] <= "Z":

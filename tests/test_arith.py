@@ -115,6 +115,14 @@ def test_rational_from_decimal_rejects(bad):
         rational_from_decimal(bad)
 
 
+def test_rational_from_decimal_refuses_over_long_literals():
+    # 4,300 digits is the interpreter's default int-to-str limit.
+    ones = "1" * 4299
+    assert rational_from_decimal("0." + ones) == Fraction(int(ones), 10**4299)
+    with pytest.raises(ParseError, match="5001 digits exceeds the 4300-digit limit"):
+        rational_from_decimal("0." + "1" * 5000)
+
+
 @given(
     st.fractions(max_denominator=10**6),
     st.fractions(max_denominator=10**6),

@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from grpinv import classify
 from grpinv.classify import Counterexample, VerificationReport
@@ -206,6 +207,60 @@ def test_exit_usage_errors(capsys):
     assert run(["no-such-command"]) == 2
     assert run([]) == 2
     assert run(["approx-beta", "nonsense", "--eps", "0.1"]) == 2
+
+
+def test_approx_beta_long_decimal_is_a_parse_error(capsys):
+    assert run(["approx-beta", "0." + "1" * 5000, "--eps", "0.1"]) == 2
+    assert "exceeds the 4300-digit limit" in capsys.readouterr().err
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=12)
+# Past the interpreter's 4,300-digit int-to-str limit.
+_LONG_DIGITS = st.integers(4000, 6000).map(lambda n: "1" * n)
+_NUMBER_TEXT = st.one_of(
+    st.builds(
+        "{}{}{}".format,
+        st.sampled_from(["", "+", "-"]),
+        _DIGITS,
+        st.one_of(st.just(""), _DIGITS.map(".{}".format)),
+    ),
+    _LONG_DIGITS.map("0.{}".format),
+    st.builds("{}/{}".format, st.integers(-(10**6), 10**6), st.integers(-3, 10**6)),
+    st.builds("{}/{}".format, st.just(1), _LONG_DIGITS),
+    st.text(max_size=8),
+)
+_APPROX_ARGV = st.builds(
+    lambda cap, target, eps: ["--prime-cap", str(cap), "approx-beta", target, "--eps", eps],
+    st.integers(-3, 10**3),
+    _NUMBER_TEXT,
+    _NUMBER_TEXT,
+)
+_EXPR_TEXT = st.one_of(
+    st.text("ZDQSx(),0123456789 ", max_size=24),
+    _LONG_DIGITS.map("Z({})".format),
+    st.text(max_size=12),
+)
+_GROUP_ARGV = st.builds(
+    lambda cap, command, text: ["--table-cap", str(cap), command, text],
+    st.integers(-3, 64),
+    st.sampled_from(["invariants", "identify"]),
+    _EXPR_TEXT,
+)
+
+
+@settings(
+    deadline=None,
+    max_examples=150,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=st.one_of(_APPROX_ARGV, _GROUP_ARGV), machine=st.booleans())
+@example(argv=["approx-beta", "0." + "1" * 5000, "--eps", "0.1"], machine=False)
+@example(argv=["invariants", "Z(" + "9" * 5000 + ")"], machine=True)
+def test_parse_paths_exit_with_a_code_and_never_raise(argv, machine, capsys):
+    if machine:
+        argv = ["--format", "machine", *argv]
+    assert run(argv) in (0, 1, 2, 3)
+    capsys.readouterr()
 
 
 def test_exit_resource_errors(capsys):

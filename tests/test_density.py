@@ -198,6 +198,95 @@ def test_log_of_product_is_math_log_bit_for_bit():
         assert density._log_of_product(values) == math.log(density._prod(values))
 
 
+def test_bracket_sign_and_log_match_exact_integers():
+    primes = list(iter_odd_primes(2 * 10**5))
+    Bracket = density._Bracket
+
+    def exact_sign(n, c, d_value, d):
+        return (n * c > d_value * d) - (n * c < d_value * d)
+
+    empty = Bracket([])
+    assert (empty.lo, empty.hi, empty.shift, empty.log()) == (1, 1, 0, 0.0)
+    assert empty.sign(3, Bracket([3]), 1) == 0  # exact brackets settle ties
+
+    small = [p + 1 for p in primes[:30]]  # fits a float
+    bracket = Bracket(small)
+    assert bracket.shift == 0 and bracket.lo == bracket.hi == density._prod(small)
+    assert bracket.log() == math.log(bracket.lo)
+
+    num_values = [p + 1 for p in primes[:5000]]
+    den_values = [p + 2 for p in primes[:5000]]
+    num, den = Bracket(num_values), Bracket(den_values)
+    n, d = density._prod(num_values), density._prod(den_values)
+    for bracket, value in ((num, n), (den, d)):
+        assert bracket.shift > 0 and bracket.lo.bit_length() == density._KEPT_BITS
+        assert bracket.lo << bracket.shift <= value <= bracket.hi << bracket.shift
+        assert bracket.log() == math.log(value)
+    # Far apart, the truncated brackets decide; an exact tie and a gap of
+    # one part in d they cannot.
+    for c, e in ((1, 1), (2, 1), (1, 2), (7, 3), (3, 7)):
+        assert num.sign(c, den, e) == exact_sign(n, c, d, e)
+        assert den.sign(e, num, c) == exact_sign(d, e, n, c)
+    assert num.sign(d, den, n) is None
+    assert num.sign(d + 1, den, n) is None
+
+    # A rounding tie kept exactly, and a product whose ends round apart.
+    tie = Bracket([2**2000 + 2**1947])
+    assert tie.lo == tie.hi and tie.log() == math.log(2**2000 + 2**1947)
+    assert Bracket([2**2000 + 2**1947 + 1]).log() is None
+
+
+def _spy_exact_products(monkeypatch) -> list[int]:
+    """Record how many primes each exact running product spans."""
+    sizes = []
+    exact = density._RunningBeta.exact
+
+    def spy(self):
+        sizes.append(len(self.primes))
+        return exact(self)
+
+    monkeypatch.setattr(density._RunningBeta, "exact", spy)
+    return sizes
+
+
+def test_brackets_decide_near_floor_targets_like_the_exact_products(monkeypatch):
+    # Targets just above the floor converge after 27k-68k primes.
+    eps = Fraction(1, 10**4)
+    targets = [Fraction(n, 10**4) for n in (1161, 1185, 1254)]
+
+    def fields(selection):
+        return (
+            selection.primes,
+            selection.predicted_beta,
+            repr(selection.log_residual),
+            selection.primes_scanned,
+        )
+
+    sizes = _spy_exact_products(monkeypatch)
+    bracketed = []
+    for target in targets:
+        bracketed.append(fields(approximate_beta(target, eps)))
+        assert max(sizes) < density._EXPONENT_ROUTE_MIN
+        sizes.clear()
+    assert len(bracketed[0][0]) == 67894
+
+    # Brackets off: every exact decision multiplies out the running product.
+    monkeypatch.setattr(density._RunningBeta, "_bracketed", lambda self: None)
+    assert [fields(approximate_beta(t, eps)) for t in targets] == bracketed
+    assert max(sizes) >= 67893
+
+
+def test_exact_tie_past_the_route_size_forms_the_exact_product(monkeypatch):
+    # Including the 6,000th prime lands exactly on the target: a tie the
+    # truncated brackets cannot settle.
+    primes = odd_primes(6000)
+    sizes = _spy_exact_products(monkeypatch)
+    sel = approximate_beta(selection_beta(primes), Fraction(1, 10**30))
+    assert sel.primes == tuple(primes)
+    assert sel.predicted_beta == selection_beta(primes)
+    assert [n for n in sizes if n >= density._EXPONENT_ROUTE_MIN] == [5999]
+
+
 def test_materialize_small_and_too_large():
     sel = approximate_beta(Fraction(4, 5), Fraction(1, 10))
     G = materialize(sel)

@@ -66,6 +66,9 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as exc_info:
         parse_group_expr("Z(0)")
     assert exc_info.value.position == 2
+    with pytest.raises(ParseError) as exc_info:
+        parse_group_expr("Z(2)xD(" + "4" * 5000 + ")")
+    assert exc_info.value.position == 7
 
 
 def test_table_cap_respected():

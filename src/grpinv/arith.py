@@ -140,6 +140,18 @@ def int_from_digits(digits: str, position: int | None = None) -> int:
     return int(digits)
 
 
+#: Characters of a rejected literal that its error message echoes.
+_ECHO_CHARS = 32
+
+
+def literal_excerpt(text: str) -> str:
+    """``repr(text)``, or that of its first characters and its length when
+    it is longer, so an error echoing a rejected literal stays short."""
+    if len(text) <= _ECHO_CHARS:
+        return repr(text)
+    return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
+
+
 _DECIMAL_RE = re.compile(r"([+-]?)(\d+)(?:\.(\d*))?\Z")
 
 
@@ -151,7 +163,7 @@ def rational_from_decimal(text: str) -> Fraction:
     """
     m = _DECIMAL_RE.match(text.strip())
     if not m:
-        raise ParseError(f"not a decimal literal: {text!r}")
+        raise ParseError(f"not a decimal literal: {literal_excerpt(text)}")
     sign, whole, frac = m.groups()
     frac = frac or ""
     value = Fraction(int_from_digits(whole + frac), 10 ** len(frac))

@@ -24,6 +24,7 @@ from .groups import (
     make_dicyclic,
     make_dihedral,
     make_elementary_abelian_2,
+    split_extension_by_involution,
 )
 
 __all__ = ["CatalogEntry", "builtin_catalog", "catalog_group", "alternating_4"]
@@ -59,33 +60,6 @@ def alternating_4() -> FiniteGroup:
         if inversions % 2 == 0:
             evens.append(perm)
     return _perm_group(evens, "A4")
-
-
-def split_extension_by_involution(
-    G: FiniteGroup, alpha, name: str | None = None
-) -> FiniteGroup:
-    """Order-2|G| extension (g, e) with the flip acting through ``alpha``.
-
-    ``alpha`` is an automorphism given as an index array with alpha(alpha(x)) = x.
-    Composition: (a, e)(b, d) = (a * alpha^e(b), e + d); index is 2a + e.
-    """
-    n = G.order
-    alpha = [int(v) for v in alpha]
-    item = G.table.item
-    if sorted(alpha) != list(range(n)) or any(alpha[alpha[x]] != x for x in range(n)):
-        raise DomainError("alpha must be an involutive permutation of the elements")
-    for a in range(n):
-        for b in range(n):
-            if alpha[item(a, b)] != item(alpha[a], alpha[b]):
-                raise DomainError("alpha is not an automorphism")
-    table = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    for a in range(n):
-        for e in (0, 1):
-            for b in range(n):
-                acted = alpha[b] if e else b
-                for d in (0, 1):
-                    table[2 * a + e, 2 * b + d] = 2 * item(a, acted) + (e + d) % 2
-    return _freeze(table, name=name)
 
 
 def generalized_dihedral(G: FiniteGroup, name: str | None = None) -> FiniteGroup:

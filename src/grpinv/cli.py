@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import classify, density
-from .arith import rational_from_decimal
+from .arith import DEFAULT_PRIME_CAP, literal_excerpt, rational_from_decimal
 from .catalog import builtin_catalog
 from .enumeration import DEFAULT_ENUM_CAP, enumerate_groups
 from .errors import (
@@ -42,7 +42,6 @@ from .errors import (
 from .expr import evaluate, parse_group_expr
 from .groups import DEFAULT_TABLE_CAP, invariants
 from .iso import identify
-from .arith import DEFAULT_PRIME_CAP
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -315,7 +314,7 @@ def _parse_target(text: str) -> Fraction:
         try:
             return Fraction(int(num.strip()), int(den.strip()))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"not a rational literal: {text!r}") from exc
+            raise ParseError(f"not a rational literal: {literal_excerpt(text)}") from exc
     return rational_from_decimal(text)
 
 

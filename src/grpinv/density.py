@@ -19,7 +19,10 @@ behaviourally identical and linear.
 
 Targets below the floor are decided exactly before any scan: when the
 full product exceeds t + eps, every prefix product does too, so the
-greedy would take every prime and never stop.  Large selections are
+greedy would take every prime and never stop.  That full product is the
+scan's own running product, cached per cap over every odd prime up to
+it, so the refusal and its best selection go through the same exact
+checks and the same reduction as a scan.  Large selections are
 reduced in prime-exponent space (the exponent of each prime in
 prod (p+1)/(p+2), found by vectorised trial division), so no gcd ever
 runs on the half-million-digit unreduced products.  Their exact checks
@@ -207,16 +210,10 @@ class _Bracket:
         return math.log(mantissa) + math.log(2.0) * exponent
 
 
-def _log_of_product(values: list[int]) -> float:
-    """math.log(prod(values)), bit for bit; the exact product is formed
-    only when its bracket cannot decide."""
-    log = _Bracket(values).log()
-    return math.log(_prod(values)) if log is None else log
-
-
 class _RunningBeta:
-    """prod (p+1) / prod (p+2) over the primes chosen so far, for the
-    greedy's exact decisions.
+    """prod (p+1) / prod (p+2) over ``primes``, for the greedy's exact
+    decisions: a list the scan appends its chosen primes to, or a tuple of
+    every odd prime up to a cap, which fixes the product.
 
     Below _EXPONENT_ROUTE_MIN primes every decision reads the exact
     numerator and denominator, extended by the primes chosen since the last
@@ -227,12 +224,14 @@ class _RunningBeta:
     2-core host), so the smaller selections keep the exact products.
     """
 
-    def __init__(self) -> None:
-        self.primes: list[int] = []
+    def __init__(self, primes: list[int] | tuple[int, ...]) -> None:
+        self.primes = primes
         self._exact = (1, 1)
         self._exact_upto = 0
         self._brackets: tuple[_Bracket, _Bracket] | None = None
         self._bracket_upto = 0
+        self._beta = Fraction(1)
+        self._beta_upto = -1
 
     def exact(self) -> tuple[int, int]:
         """The unreduced numerator and denominator."""
@@ -282,37 +281,20 @@ class _RunningBeta:
         return math.log(num), math.log(den)
 
     def beta(self) -> Fraction:
-        """The exact reduced product."""
-        if len(self.primes) >= _EXPONENT_ROUTE_MIN:
-            return _exponent_beta(self.primes)
-        return Fraction(*self.exact())
-
-
-@dataclass(frozen=True)
-class _FullProduct:
-    """Every odd prime up to a cap, the exact beta of their product, and
-    math.log of its unreduced numerator and denominator."""
-
-    primes: tuple[int, ...]
-    beta: Fraction
-    log_num: float
-    log_den: float
+        """The exact reduced product, kept until another prime is chosen."""
+        if self._beta_upto != len(self.primes):
+            if len(self.primes) >= _EXPONENT_ROUTE_MIN:
+                self._beta = _exponent_beta(self.primes)
+            else:
+                self._beta = Fraction(*self.exact())
+            self._beta_upto = len(self.primes)
+        return self._beta
 
 
 @functools.lru_cache(maxsize=4)
-def _every_odd_prime_product(prime_cap: int) -> _FullProduct:
+def _every_odd_prime_product(prime_cap: int) -> _RunningBeta:
     """Shared by every target below the floor of this cap."""
-    primes = tuple(iter_odd_primes(prime_cap))
-    if len(primes) >= _EXPONENT_ROUTE_MIN:
-        beta = _exponent_beta(primes)
-    else:
-        beta = selection_beta(primes)
-    return _FullProduct(
-        primes=primes,
-        beta=beta,
-        log_num=_log_of_product([p + 1 for p in primes]),
-        log_den=_log_of_product([p + 2 for p in primes]),
-    )
+    return _RunningBeta(tuple(iter_odd_primes(prime_cap)))
 
 
 @functools.lru_cache(maxsize=4)
@@ -373,10 +355,10 @@ def approximate_beta(
     # beta - t <= eps  <=>  num*c - den*d <= 0 for these c, d.
     close_c = td * eps.denominator
     close_d = tn * eps.denominator + eps.numerator * td
-    running = _RunningBeta()
+    running = _RunningBeta([])
 
-    def exact_residual() -> float:
-        log_num, log_den = running.logs()
+    def exact_residual(product: _RunningBeta) -> float:
+        log_num, log_den = product.logs()
         return log_num + math.log(td) - log_den - math.log(tn)
 
     # Residual ln(P / t) tracked as a float with a drift bound; reset from
@@ -388,16 +370,16 @@ def approximate_beta(
     except OverflowError:
         stop_bar = math.inf
 
-    def build(scanned: int) -> PrimeSelection:
+    def build(product: _RunningBeta, scanned: int) -> PrimeSelection:
         return PrimeSelection(
-            primes=tuple(running.primes),
-            predicted_beta=running.beta(),
-            log_residual=max(exact_residual(), 0.0),
+            primes=tuple(product.primes),
+            predicted_beta=product.beta(),
+            log_residual=max(exact_residual(product), 0.0),
             primes_scanned=scanned,
         )
 
     if running.sign(close_c, close_d) <= 0:
-        return build(0)
+        return build(running, 0)
 
     def exhausted(best: PrimeSelection) -> ConvergenceError:
         return ConvergenceError(
@@ -409,18 +391,11 @@ def approximate_beta(
     # Below the floor: the full product F exceeds t + eps, so does every
     # prefix product, and the greedy would take every prime without ever
     # landing within eps.  The float test (residual - stop_bar is
-    # ln(1/(t + eps))) can only rule that out; the exact comparison decides.
+    # ln(1/(t + eps))) can only rule that out; the exact sign decides.
     if residual - stop_bar > _log_floor(prime_cap) - _MARGIN:
         full = _every_odd_prime_product(prime_cap)
-        if full.beta > target + eps:
-            residual_exact = full.log_num + math.log(td) - full.log_den - math.log(tn)
-            best = PrimeSelection(
-                primes=full.primes,
-                predicted_beta=full.beta,
-                log_residual=max(residual_exact, 0.0),
-                primes_scanned=len(full.primes),
-            )
-            raise exhausted(best)
+        if full.sign(close_c, close_d) > 0:
+            raise exhausted(build(full, len(full.primes)))
 
     scanned = 0
     for p in iter_odd_primes(prime_cap):
@@ -432,7 +407,7 @@ def approximate_beta(
             include = True
         else:
             include = running.sign((p + 1) * td, (p + 2) * tn) >= 0
-            residual = exact_residual()
+            residual = exact_residual(running)
             drift = _MARGIN / 2
         if not include:
             continue
@@ -441,15 +416,15 @@ def approximate_beta(
         drift += 1e-15 * (1.0 + abs(residual))
         if residual - drift <= stop_bar + _MARGIN:
             if running.sign(close_c, close_d) <= 0:
-                selection = build(scanned)
+                selection = build(running, scanned)
                 if selection.predicted_beta < target:
                     raise InvariantViolationError(
                         "greedy overshot the target; inclusion test broken"
                     )
                 return selection
-            residual = exact_residual()
+            residual = exact_residual(running)
             drift = _MARGIN / 2
-    raise exhausted(build(scanned))
+    raise exhausted(build(running, scanned))
 
 
 def materialize(

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import int_from_digits, is_unit_involution
+from .arith import int_from_digits, is_unit_involution, literal_excerpt
 from .errors import ParseError
 from .groups import (
     DEFAULT_TABLE_CAP,
     FiniteGroup,
+    _check_cap,
     _freeze,
     direct_product,
     make_cyclic,
@@ -92,7 +93,8 @@ def _tokenize(source: str):
             name = source[start:pos]
             if name not in _KINDS:
                 raise ParseError(
-                    f"unknown group family {name!r} at position {start}", start
+                    f"unknown group family {literal_excerpt(name)} at position {start}",
+                    start,
                 )
             tokens.append(("name", name, start))
         else:
@@ -187,7 +189,15 @@ _BUILDERS = {
 
 
 def evaluate(expr: GroupExpr, *, table_cap: int = DEFAULT_TABLE_CAP) -> FiniteGroup:
-    """Materialize the expression as a multiplication table."""
+    """Materialize the expression as a multiplication table.
+
+    Every prefix product is checked against the cap before any factor is
+    built, with the message the first over-cap build would give.
+    """
+    order = 1
+    for atom in expr.factors:
+        order *= atom.order
+        _check_cap(order, table_cap)
     group = None
     for atom in expr.factors:
         if atom.kind == "SD":

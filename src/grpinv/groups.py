@@ -267,6 +267,34 @@ def dihedral_product(primes, *, table_cap: int = DEFAULT_TABLE_CAP) -> FiniteGro
     return make_cyclic(1) if group is None else group
 
 
+def split_extension_by_involution(
+    G: FiniteGroup, alpha, *, name: str | None = None
+) -> FiniteGroup:
+    """Order-2|G| extension (g, e) with the flip acting through ``alpha``.
+
+    ``alpha`` is an automorphism given as an index array with
+    alpha(alpha(x)) = x.  Composition: (a, e)(b, d) = (a * alpha^e(b), e + d);
+    index is 2a + e, so the table is one block of G's table per e, doubled,
+    and that block plus one for d = 1 - e.
+    """
+    n = G.order
+    alpha = np.asarray(alpha, dtype=np.intp)
+    idx = np.arange(n)
+    if (
+        alpha.shape != (n,)
+        or not np.array_equal(np.sort(alpha), idx)
+        or not np.array_equal(alpha[alpha], idx)
+    ):
+        raise DomainError("alpha must be an involutive permutation of the elements")
+    if not np.array_equal(alpha[G.table], G.table[np.ix_(alpha, alpha)]):
+        raise DomainError("alpha is not an automorphism")
+    table = np.empty((n, 2, n, 2), dtype=np.int32)
+    for e, block in enumerate((G.table, G.table[:, alpha])):
+        np.multiply(block, 2, out=table[:, e, :, e])
+        np.add(table[:, e, :, e], 1, out=table[:, e, :, 1 - e])
+    return _freeze(table.reshape(2 * n, 2 * n), name=name)
+
+
 def semidirect_zn_z2(
     n: int, u: int, *, table_cap: int = DEFAULT_TABLE_CAP
 ) -> FiniteGroup:
@@ -280,12 +308,11 @@ def semidirect_zn_z2(
         raise DomainError(f"semidirect base needs n >= 2, got {n}")
     if not is_unit_involution(u, n):
         raise DomainError(f"u = {u} is not a square root of 1 in the units mod {n}")
-    idx = np.arange(2 * n, dtype=np.int64)
-    a, b = idx // 2, idx % 2
-    act = np.where(b == 1, u, 1)
-    left_a, left_act, left_b = a[:, None], act[:, None], b[:, None]
-    table = ((left_a + left_act * a[None, :]) % n) * 2 + (left_b + b[None, :]) % 2
-    return _freeze(table.astype(np.int32), name=f"SD({n},{u})")
+    return split_extension_by_involution(
+        make_cyclic(n, table_cap=table_cap),
+        np.arange(n, dtype=np.int64) * u % n,
+        name=f"SD({n},{u})",
+    )
 
 
 # ---------------------------------------------------------------------------

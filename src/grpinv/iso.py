@@ -49,14 +49,9 @@ class IsoFingerprint:
     c: int
 
     def sort_key(self):
-        return (
-            self.order,
-            self.order_histogram,
-            self.abelian,
-            self.center_size,
-            self.i,
-            self.c,
-        )
+        # abelian, i and c are functions of these three, and abelian is
+        # true exactly at the largest center_size, so the order is the same.
+        return (self.order, self.order_histogram, self.center_size)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -246,3 +250,29 @@ def test_counterexample_reports_carry_tables():
     assert len(table) == 16 and len(table[0]) == 16
     rebuilt = [list(row) for row in table]
     assert rebuilt[1][1] == 2
+
+
+@pytest.mark.parametrize(
+    "script, expected",
+    [
+        ("verify_all.py", "0 failures"),
+        ("census_timing.py", "order   8:   5 classes"),
+    ],
+)
+def test_scripts_run_at_a_small_order(script, expected):
+    # verify_all builds its SD groups through the split-extension builder.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / script), "--max-order", "8"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert expected in proc.stdout
+    assert "XX " not in proc.stdout and "!!" not in proc.stdout

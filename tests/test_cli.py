@@ -212,6 +212,15 @@ def test_exit_usage_errors(capsys):
 def test_approx_beta_long_decimal_is_a_parse_error(capsys):
     assert run(["approx-beta", "0." + "1" * 5000, "--eps", "0.1"]) == 2
     assert "exceeds the 4300-digit limit" in capsys.readouterr().err
+    # A rejected literal is echoed as a short prefix and its length.
+    for argv in (
+        ["approx-beta", "1/" + "3" * 5000, "--eps", "0.0001"],
+        ["approx-beta", "0." + "1" * 5000 + "x", "--eps", "0.1"],
+        ["invariants", "Z" * 5000 + "(3)"],
+    ):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 300 and "characters)" in err, err
 
 
 _DIGITS = st.text("0123456789", min_size=1, max_size=12)

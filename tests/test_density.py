@@ -182,20 +182,38 @@ def test_exponent_reduction_matches_selection_beta(monkeypatch):
     assert reduced == [cut, len(primes)]
 
 
-def test_log_of_product_is_math_log_bit_for_bit():
+def test_running_product_logs_are_math_log_bit_for_bit(monkeypatch):
     primes = list(iter_odd_primes(2 * 10**5))
-    cases = [
-        [],
-        [7],
-        [p + 1 for p in primes[:30]],  # fits a float
-        [p + 2 for p in primes[:140]],  # just past the kept bits
-        [p + 1 for p in primes],
-        [p + 2 for p in primes],
-        [2**2000 + 2**1947],  # a rounding tie, kept exactly
-        [2**2000 + 2**1947 + 1],  # floor and ceiling round apart
-    ]
-    for values in cases:
-        assert density._log_of_product(values) == math.log(density._prod(values))
+    # Below the route size the logs come from the exact products, from it
+    # on from the brackets; the integer tie and round-apart cases are
+    # _Bracket.log's.
+    cut = density._EXPONENT_ROUTE_MIN
+    sizes = [0, 1, 30, 140, cut - 1, cut, len(primes)]
+
+    def check():
+        running = density._RunningBeta([])
+        for n in sizes:
+            running.primes.extend(primes[len(running.primes) : n])
+            num = density._prod([p + 1 for p in primes[:n]])
+            den = density._prod([p + 2 for p in primes[:n]])
+            exact = (math.log(num), math.log(den))
+            assert running.logs() == exact
+            assert density._RunningBeta(tuple(primes[:n])).logs() == exact
+
+    check()
+    # Brackets that cannot decide fall back to the exact products.
+    monkeypatch.setattr(density._Bracket, "log", lambda self: None)
+    check()
+
+
+def test_running_product_beta_is_kept_until_a_prime_is_chosen():
+    primes = odd_primes(density._EXPONENT_ROUTE_MIN + 1)
+    running = density._RunningBeta([])
+    for n in (0, 2, len(primes) - 1, len(primes)):
+        running.primes.extend(primes[len(running.primes) : n])
+        beta = running.beta()
+        assert beta == selection_beta(primes[:n])
+        assert running.beta() is beta
 
 
 def test_bracket_sign_and_log_match_exact_integers():

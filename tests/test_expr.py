@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -75,6 +77,24 @@ def test_table_cap_respected():
     expr = parse_group_expr("Z(100)xZ(100)")
     with pytest.raises(ResourceLimitError):
         evaluate(expr, table_cap=4096)
+
+
+@pytest.mark.parametrize(
+    "text, order",
+    [("Z(4096)xZ(2)", 8192), ("D(4096)xD(4096)xZ(2)", 4096 * 4096)],
+)
+def test_table_cap_refuses_before_any_factor_is_built(text, order):
+    expr = parse_group_expr(text)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as exc_info:
+            evaluate(expr, table_cap=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The first over-cap prefix is named, as the product build would.
+    assert str(exc_info.value) == f"group order {order} exceeds the table cap 4096"
+    assert peak < 1 << 20
 
 
 _atoms = st.one_of(

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from grpinv.arith import tau
+from grpinv.arith import tau, unit_involutions
 from grpinv.catalog import builtin_catalog
 from grpinv.errors import (
     DomainError,
@@ -28,6 +28,7 @@ from grpinv.groups import (
     make_dihedral,
     make_elementary_abelian_2,
     semidirect_zn_z2,
+    split_extension_by_involution,
     verify_axioms,
 )
 from grpinv.iso import are_isomorphic
@@ -247,6 +248,44 @@ def test_semidirect_examples():
         odd_case, direct_product(make_cyclic(2), make_cyclic(12))
     ) is None
     assert are_isomorphic(odd_case, make_dihedral(24)) is None
+
+
+def _semidirect_mod_reference(n, u):
+    """(a, b)(a', b') = (a + u^b a', b + b') at index 2a + b, by %."""
+    idx = np.arange(2 * n, dtype=np.int64)
+    a, b = idx // 2, idx % 2
+    act = np.where(b == 1, u, 1)[:, None]
+    return ((a[:, None] + act * a) % n) * 2 + (b[:, None] + b) % 2
+
+
+def test_semidirect_matches_a_mod_reference():
+    for n in [*range(2, 61), 120, 200, 1024]:
+        for u in unit_involutions(n):
+            G = semidirect_zn_z2(n, u)
+            assert G.name == f"SD({n},{u})"
+            assert G.table.dtype == np.int32 and not G.table.flags.writeable
+            assert np.array_equal(G.table, _semidirect_mod_reference(n, u)), (n, u)
+
+
+def test_semidirect_build_stays_under_two_and_a_half_tables():
+    tracemalloc.start()
+    try:
+        G = semidirect_zn_z2(2048, 1023)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * G.table.nbytes
+
+
+def test_split_extension_rejects_a_bad_alpha():
+    z4 = make_cyclic(4)
+    with pytest.raises(DomainError, match="involutive"):
+        split_extension_by_involution(z4, [0, 2, 3, 1])  # a 3-cycle
+    with pytest.raises(DomainError, match="involutive"):
+        split_extension_by_involution(z4, [0, 1, 2])
+    with pytest.raises(DomainError, match="automorphism"):
+        split_extension_by_involution(z4, [0, 2, 1, 3])  # swaps 1 and 2
+    assert split_extension_by_involution(z4, [0, 3, 2, 1]).order == 8
 
 
 def test_is_normal_subgroup():

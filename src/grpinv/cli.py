@@ -281,6 +281,12 @@ def _lemma_reports(config: _Config, max_order: int) -> list:
 
 
 def _cmd_verify(config: _Config, args) -> int:
+    if args.claim != "theorem24":
+        # A sweep over no order would report "verified" with no group examined.
+        bounds = (("--max-order", args.max_order), ("--enum-cap", config.enum_cap))
+        for flag, bound in bounds:
+            if bound < 1:
+                raise DomainError(f"{flag} must be >= 1, got {bound}")
     if args.claim == "theorem1":
         reports = list(
             classify.verify_theorem1(args.max_order, enum_cap=config.enum_cap)

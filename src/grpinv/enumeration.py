@@ -11,7 +11,10 @@ row and column fixed:
 * every associativity triple is checked the moment its last cell fills,
   and constraint propagation assigns cells that become forced;
 * a closed power chain of an element must have length dividing the group
-  order.
+  order;
+* a Lagrange cut: once the leading block ``[0..m]^2`` of the table is full
+  and holds only labels ``<= m``, it is a subgroup of order ``m + 1``, so
+  a node where ``m + 1`` does not divide the group order is cut.
 
 Survivors are deduplicated through fingerprint buckets plus isomorphism
 tests, keeping the lexicographically least table of each class.  The
@@ -46,8 +49,8 @@ __all__ = [
     "known_census",
 ]
 
-#: Published census of isomorphism classes for orders 1..16.
-known_census = (1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1, 14)
+#: Published census of isomorphism classes for orders 1..20.
+known_census = (1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1, 14, 1, 5, 1, 5)
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,34 @@ def _staircase_cells(n: int) -> list[tuple[int, int]]:
             cells.append((m, i))
         cells.append((m, m))
     return cells
+
+
+def _lagrange_top(t: list[int], n: int, first: int, stop: int, top: int) -> int:
+    """Extend the running maximum label over leading blocks, or refuse.
+
+    ``t`` is a flat n x n table whose blocks ``[0..m]^2`` are filled for
+    every ``m < stop``, and ``top`` is the largest label in block
+    ``[0..first-1]^2``.  A block whose labels are all ``<= m`` is closed
+    under the product and holds the identity, so in any completion that is
+    a group it is a subgroup of order ``m + 1``, which must divide ``n``.
+    Returns the largest label in block ``[0..stop-1]^2``, or -1 when some
+    block ``m`` in ``first..stop-1`` is closed and ``m + 1`` does not
+    divide ``n``.
+    """
+    for m in range(first, stop):
+        row = m * n
+        # the identity row and column add label m; then row m and column m
+        top = max(top, m, *t[row + 1 : row + m + 1], *t[n + m : row + m : n])
+        if top <= m and n % (m + 1):
+            return -1
+    return top
+
+
+def _check_order(n: int, enum_cap: int) -> None:
+    if n < 1:
+        raise DomainError(f"order must be >= 1, got {n}")
+    if n > enum_cap:
+        raise ResourceLimitError(f"order {n} exceeds the enumeration cap {enum_cap}")
 
 
 class _TimeoutSignal(Exception):
@@ -220,8 +251,13 @@ def _search_tables(
             row_inv[a][v] = -1
 
     total_cells = len(cells)
+    staircase = cell_order is None
 
-    def descend(ci: int):
+    def descend(ci: int, closed_upto: int, top: int):
+        # Every staircase shell below the first empty cell's is full, so
+        # the blocks [0..m]^2 for m up to shell - 1 are known: they are
+        # checked by the Lagrange cut once each, carrying their maximum
+        # label down as ``top``.
         nonlocal introduced
         if deadline is not None and time.monotonic() > deadline:
             raise _TimeoutSignal
@@ -235,6 +271,11 @@ def _search_tables(
             return
         a, b = cells[ci]
         shell = a if a > b else b
+        if staircase and closed_upto < shell - 1:
+            top = _lagrange_top(t, n, closed_upto + 1, shell, top)
+            if top < 0:
+                return
+            closed_upto = shell - 1
         saved_introduced = introduced
         if shell > introduced:
             introduced = shell
@@ -249,12 +290,12 @@ def _search_tables(
                 continue
             queue.clear()
             if assign(a, b, v) and propagate() and chains_ok():
-                yield from descend(ci + 1)
+                yield from descend(ci + 1, closed_upto, top)
             unwind(mark)
             introduced = shell_introduced
         introduced = saved_introduced
 
-    yield from descend(0)
+    yield from descend(0, 0, 0)
 
 
 def _dedup_classes(
@@ -305,10 +346,7 @@ def enumerate_groups(
     deadline.  ``workers`` is accepted for compatibility; ignored, the
     search is serial.
     """
-    if n < 1:
-        raise DomainError(f"order must be >= 1, got {n}")
-    if n > enum_cap:
-        raise ResourceLimitError(f"order {n} exceeds the enumeration cap {enum_cap}")
+    _check_order(n, enum_cap)
     start = time.monotonic()
     deadline = start + timeout if timeout is not None else None
     raw: list[tuple[int, ...]] = []
@@ -332,9 +370,12 @@ def enumerate_groups(
     return result
 
 
-def enumerate_groups_reference(n: int) -> EnumerationResult:
+def enumerate_groups_reference(
+    n: int, *, enum_cap: int = DEFAULT_ENUM_CAP
+) -> EnumerationResult:
     """Independent oracle: row-major Latin-square generation with identity
     fixed, associativity applied purely as a filter, then iso-dedup."""
+    _check_order(n, enum_cap)
     start = time.monotonic()
     cells = [(a, b) for a in range(1, n) for b in range(1, n)]
     raw = list(_search_tables(n, normalized=False, derive=False, cell_order=cells))
@@ -360,10 +401,7 @@ def all_groups_upto(
 
     ``workers`` is accepted for compatibility; ignored, the search is serial.
     """
-    if max_order > enum_cap:
-        raise ResourceLimitError(
-            f"order {max_order} exceeds the enumeration cap {enum_cap}"
-        )
+    _check_order(max_order, enum_cap)
     results = {}
     for m in range(1, max_order + 1):
         cached = _UPTO_CACHE.get(m)

@@ -255,6 +255,18 @@ _GROUP_ARGV = st.builds(
     st.sampled_from(["invariants", "identify"]),
     _EXPR_TEXT,
 )
+_ENUMERATE_ARGV = st.builds(
+    lambda cap, n: ["--enum-cap", str(cap), "enumerate", str(n)],
+    st.integers(-3, 10),
+    st.integers(-3, 10),
+)
+_VERIFY_ARGV = st.builds(
+    lambda claim, bound: ["verify", *claim, "--max-order", str(bound)],
+    st.sampled_from(
+        [["theorem1"], ["theorem22"], *(["theorem23", "--r", r] for r in "124")]
+    ),
+    st.integers(-3, 6),
+)
 
 
 @settings(
@@ -262,7 +274,10 @@ _GROUP_ARGV = st.builds(
     max_examples=150,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(argv=st.one_of(_APPROX_ARGV, _GROUP_ARGV), machine=st.booleans())
+@given(
+    argv=st.one_of(_APPROX_ARGV, _GROUP_ARGV, _ENUMERATE_ARGV, _VERIFY_ARGV),
+    machine=st.booleans(),
+)
 @example(argv=["approx-beta", "0." + "1" * 5000, "--eps", "0.1"], machine=False)
 @example(argv=["invariants", "Z(" + "9" * 5000 + ")"], machine=True)
 def test_parse_paths_exit_with_a_code_and_never_raise(argv, machine, capsys):
@@ -270,6 +285,31 @@ def test_parse_paths_exit_with_a_code_and_never_raise(argv, machine, capsys):
         argv = ["--format", "machine", *argv]
     assert run(argv) in (0, 1, 2, 3)
     capsys.readouterr()
+
+
+def test_verify_refuses_a_bound_below_one_before_any_work(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a verification started")
+
+    for name in (
+        "verify_theorem1",
+        "verify_involution_threshold",
+        "verify_c_order_deficit",
+        "check_unique_cyclic_normality",
+        "check_lemma31a",
+    ):
+        monkeypatch.setattr(classify, name, refuse)
+    for argv, flag in (
+        (["verify", "theorem1", "--max-order", "0"], "--max-order"),
+        (["verify", "theorem22", "--max-order", "-1"], "--max-order"),
+        (["verify", "theorem23", "--r", "2", "--max-order", "0"], "--max-order"),
+        (["verify", "lemmas", "--max-order", "0"], "--max-order"),
+        (["verify", "lemmas", "--enum-cap", "0"], "--enum-cap"),
+        (["--enum-cap", "-1", "verify", "theorem1"], "--enum-cap"),
+    ):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{flag} must be >= 1" in captured.err, argv
 
 
 def test_exit_resource_errors(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import threading
 import types
 
@@ -99,6 +100,21 @@ def test_cap_and_domain_errors():
         enumerate_groups(9, enum_cap=8)
     with pytest.raises(DomainError):
         enumerate_groups(0)
+    with pytest.raises(DomainError):
+        all_groups_upto(0)
+
+
+def test_reference_path_refuses_before_searching(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(enumeration, "_search_tables", refuse)
+    for n in (0, -2):
+        with pytest.raises(DomainError):
+            enumerate_groups_reference(n)
+    for n, cap in ((17, 16), (9, 8), (10**9, 16)):
+        with pytest.raises(ResourceLimitError):
+            enumerate_groups_reference(n, enum_cap=cap)
 
 
 def test_search_starts_no_threads(monkeypatch):
@@ -176,3 +192,73 @@ def test_census_order_16():
         "Q8:Z2",
     }
     assert sum(1 for G in result.groups if identify(G) is None) == 4
+
+
+#: Complete tables the staircase search yields at orders 1..20, before dedup.
+RAW_TABLES = (1, 1, 1, 3, 1, 9, 1, 27, 4, 11, 1, 113, 1, 13, 9, 707, 1, 198, 1, 219)
+#: SHA-256 over the bytes of every table ``_search_tables(n)`` yields, in order.
+SEARCH_DIGESTS = {
+    12: "58589d09955315d31d6d7b3991c61d94be772bda685e89732bba867fc7bb7484",
+    20: "4af03242733e0ddbfbbe0acc0e10089d53e54dbce8d169347ff3765c07f89eee",
+}
+
+
+def _search_digest(tables) -> str:
+    digest = hashlib.sha256()
+    for flat in tables:
+        digest.update(bytes(flat))
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def orders_17_to_20():
+    """``enumerate_groups`` at orders 17..20, with the digest of each search."""
+    digests = {}
+    real_search = enumeration._search_tables
+
+    def digesting_search(n, **kwargs):
+        tables = list(real_search(n, **kwargs))
+        digests[n] = _search_digest(tables)
+        yield from tables
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumeration, "_search_tables", digesting_search)
+        results = {n: enumerate_groups(n, enum_cap=20) for n in range(17, 21)}
+    return results, digests
+
+
+def test_census_orders_17_to_20(orders_17_to_20):
+    results, _ = orders_17_to_20
+    for n in range(17, 21):
+        assert len(results[n].groups) == known_census[n - 1], n
+
+
+def test_raw_search_is_pinned(orders_17_to_20):
+    results, digests = orders_17_to_20
+    explored = [r.tables_explored for r in all_groups_upto(16).values()]
+    explored += [results[n].tables_explored for n in range(17, 21)]
+    assert tuple(explored) == RAW_TABLES
+    assert _search_digest(enumeration._search_tables(12)) == SEARCH_DIGESTS[12]
+    assert digests[20] == SEARCH_DIGESTS[20]
+
+
+def _table(n: int, cells: dict) -> list[int]:
+    t = [-1] * (n * n)
+    for k in range(n):
+        t[k] = t[k * n] = k
+    for (a, b), v in cells.items():
+        t[a * n + b] = v
+    return t
+
+
+def test_lagrange_cut_refuses_only_closed_blocks_of_non_dividing_size():
+    # Labels 0, 1, 2 multiply like Z3 in the leading 3 x 3 block.
+    z3 = {(1, 1): 2, (1, 2): 0, (2, 1): 0, (2, 2): 1}
+    assert enumeration._lagrange_top(_table(6, z3), 6, 1, 3, 0) == 2
+    assert enumeration._lagrange_top(_table(8, z3), 8, 1, 3, 0) == -1
+    # The same block holding label 3 is not closed, so nothing is refused.
+    leaky = {**z3, (1, 2): 3}
+    assert enumeration._lagrange_top(_table(8, leaky), 8, 1, 3, 0) == 3
+    # Z2 in labels 0, 1: closed at m = 1, and 2 divides 8 but not 9.
+    assert enumeration._lagrange_top(_table(8, {(1, 1): 0}), 8, 1, 2, 0) == 1
+    assert enumeration._lagrange_top(_table(9, {(1, 1): 0}), 9, 1, 2, 0) == -1

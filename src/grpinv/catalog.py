@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .groups import (
+    TABLE_DTYPE,
     FiniteGroup,
     _freeze,
     direct_product,
@@ -42,7 +43,7 @@ def _perm_group(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
     perms = sorted(perms)
     index = {p: k for k, p in enumerate(perms)}
     n = len(perms)
-    table = np.zeros((n, n), dtype=np.int64)
+    table = np.zeros((n, n), dtype=TABLE_DTYPE)
     for a, p in enumerate(perms):
         for b, q in enumerate(perms):
             composed = tuple(p[q[k]] for k in range(len(p)))
@@ -80,7 +81,7 @@ def _q8_extension() -> FiniteGroup:
 
 def _v4_by_z4_swap() -> FiniteGroup:
     """(Z2 x Z2) extended by Z4 acting through the factor swap."""
-    table = np.zeros((16, 16), dtype=np.int64)
+    table = np.zeros((16, 16), dtype=TABLE_DTYPE)
     for a1, b1, c1 in itertools.product(range(2), range(2), range(4)):
         left = (a1 * 2 + b1) * 4 + c1
         for a2, b2, c2 in itertools.product(range(2), range(2), range(4)):

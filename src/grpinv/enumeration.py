@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EnumerationTimeout, ResourceLimitError
-from .groups import FiniteGroup, _freeze
+from .groups import TABLE_DTYPE, FiniteGroup, _freeze
 from .iso import are_isomorphic, fingerprint
 
 DEFAULT_ENUM_CAP = 16
@@ -313,7 +313,7 @@ def _dedup_classes(
         if deadline is not None and time.monotonic() > deadline:
             timed_out = True
             break
-        arr = np.array(flat, dtype=np.int64).reshape(n, n)
+        arr = np.array(flat, dtype=TABLE_DTYPE).reshape(n, n)
         G = _freeze(arr)
         key = fingerprint(G).sort_key()
         bucket = buckets.setdefault(key, [])

@@ -1,9 +1,10 @@
 """Finite groups as dense multiplication tables, and their invariants.
 
 A group of order n lives on element indices 0..n-1 with the identity at
-index 0.  The table is an n x n int32 array with ``table[a, b]`` holding
-the index of a*b.  Tables are immutable after construction and safe to
-share across threads.
+index 0.  The table is an n x n ``TABLE_DTYPE`` (int16) array with
+``table[a, b]`` holding the index of a*b, so no order above
+``MAX_TABLE_ORDER = 2**15`` can be built.  Tables are immutable after
+construction and safe to share across threads.
 
 The invariants of interest are
 
@@ -43,8 +44,17 @@ from .errors import (
 #: Largest table edge we materialize by default (quadratic memory).
 DEFAULT_TABLE_CAP = 4096
 
+#: Cell type of every Cayley table.
+TABLE_DTYPE = np.int16
+
+#: Largest order whose element indices all fit a ``TABLE_DTYPE`` cell; no
+#: ``table_cap`` lifts it.
+MAX_TABLE_ORDER = 2**15
+
 __all__ = [
     "DEFAULT_TABLE_CAP",
+    "MAX_TABLE_ORDER",
+    "TABLE_DTYPE",
     "FiniteGroup",
     "GroupInvariants",
     "CyclicSubgroupSet",
@@ -110,8 +120,14 @@ class CyclicSubgroupSet:
 
 
 def _freeze(table: np.ndarray, name: str | None = None) -> FiniteGroup:
-    """Wrap a trusted table without re-validating the axioms."""
-    arr = np.ascontiguousarray(table, dtype=np.int32)
+    """Wrap a trusted table without re-validating the axioms.
+
+    A C-contiguous ``TABLE_DTYPE`` table is wrapped without a copy.  An
+    order above ``MAX_TABLE_ORDER`` is refused before the cast, which
+    would wrap its indices.
+    """
+    _check_cap(table.shape[0], MAX_TABLE_ORDER)
+    arr = np.ascontiguousarray(table, dtype=TABLE_DTYPE)
     arr.setflags(write=False)
     return FiniteGroup(order=arr.shape[0], table=arr, name=name)
 
@@ -120,6 +136,11 @@ def _check_cap(order: int, table_cap: int) -> None:
     if order > table_cap:
         raise ResourceLimitError(
             f"group order {order} exceeds the table cap {table_cap}"
+        )
+    if order > MAX_TABLE_ORDER:
+        raise ResourceLimitError(
+            f"group order {order} exceeds {MAX_TABLE_ORDER}, the largest order "
+            f"whose element indices fit {np.dtype(TABLE_DTYPE).name} cells"
         )
 
 
@@ -144,6 +165,7 @@ def verify_axioms(table, name: str | None = None) -> FiniteGroup:
     n = arr.shape[0]
     if n == 0:
         raise NotLatinSquareError("table is empty")
+    _check_cap(n, MAX_TABLE_ORDER)
     if arr.min() < 0 or arr.max() >= n:
         raise NotLatinSquareError("table entries out of index range")
     idx = np.arange(n)
@@ -178,10 +200,13 @@ def _circulant(n: int, *, offset: int = 0, shift: int = 0, sign: int = 1) -> np.
     Row a is a length-n window of ``v = (arange(2n) + shift) % n + offset``:
     the one starting at a for sign = +1.  For sign = -1, v is reversed and
     the windows are taken from the end, row a starting at n-1-a.  No n x n
-    array is computed; copying the view out is the only O(n^2) work.
+    array is computed; copying the view out is the only O(n^2) work.  v is
+    computed in int32, where 2n cannot overflow, and cast to ``TABLE_DTYPE``
+    so that the copy needs no cast.
     """
     start = 0 if sign == 1 else n - 1
     v = (sign * (np.arange(2 * n, dtype=np.int32) - start) + shift) % n + offset
+    v = v.astype(TABLE_DTYPE)
     return np.lib.stride_tricks.sliding_window_view(v, n)[start::sign][:n]
 
 
@@ -190,7 +215,7 @@ def make_cyclic(n: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> FiniteGroup:
     if n < 1:
         raise DomainError(f"cyclic group needs order >= 1, got {n}")
     _check_cap(n, table_cap)
-    table = np.empty((n, n), dtype=np.int32)
+    table = np.empty((n, n), dtype=TABLE_DTYPE)
     table[:] = _circulant(n)
     return _freeze(table, name=f"Z{n}")
 
@@ -202,7 +227,7 @@ def make_dihedral(m: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> FiniteGroup:
     _check_cap(m, table_cap)
     n = m // 2
     # Indices 0..n-1 are rotations r^i, n..2n-1 are reflections r^i s.
-    table = np.empty((m, m), dtype=np.int32)
+    table = np.empty((m, m), dtype=TABLE_DTYPE)
     table[:n, :n] = _circulant(n)
     table[:n, n:] = _circulant(n, offset=n)
     table[n:, :n] = _circulant(n, offset=n, sign=-1)
@@ -218,7 +243,7 @@ def make_dicyclic(m: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> FiniteGroup:
     k = m // 4
     q = 2 * k
     # a^(2k) = e, b^2 = a^k, b a b^-1 = a^-1; indices q.. are a^i b.
-    table = np.empty((m, m), dtype=np.int32)
+    table = np.empty((m, m), dtype=TABLE_DTYPE)
     table[:q, :q] = _circulant(q)
     table[:q, q:] = _circulant(q, offset=q)
     table[q:, :q] = _circulant(q, offset=q, sign=-1)
@@ -234,7 +259,7 @@ def make_elementary_abelian_2(
         raise DomainError(f"rank must be >= 0, got {k}")
     order = 2**k
     _check_cap(order, table_cap)
-    i = np.arange(order, dtype=np.int32)
+    i = np.arange(order, dtype=TABLE_DTYPE)
     name = "Z1" if k == 0 else "x".join(["Z2"] * k)
     return _freeze(np.bitwise_xor.outer(i, i), name=name)
 
@@ -245,10 +270,16 @@ def direct_product(
     """Direct product on row-major index pairs: (g, h) -> g*|H| + h."""
     order = G.order * H.order
     _check_cap(order, table_cap)
-    # Stays inside int32: indices < order <= table cap, far below 2**31.
-    table = (
-        G.table[:, None, :, None] * np.int32(H.order) + H.table[None, :, None, :]
-    ).reshape(order, order)
+    # Row offsets g*|H| for every cell of G, then one add straight into the
+    # output: every sum is an index below order <= MAX_TABLE_ORDER, so it
+    # fits TABLE_DTYPE and no wider n x n intermediate is made.
+    offsets = np.arange(0, order, H.order, dtype=TABLE_DTYPE)[G.table]
+    table = np.empty((order, order), dtype=TABLE_DTYPE)
+    np.add(
+        offsets[:, None, :, None],
+        H.table[None, :, None, :],
+        out=table.reshape(G.order, H.order, G.order, H.order),
+    )
     name = None
     if G.name and H.name:
         name = f"{G.name}x{H.name}"
@@ -278,6 +309,7 @@ def split_extension_by_involution(
     and that block plus one for d = 1 - e.
     """
     n = G.order
+    _check_cap(2 * n, MAX_TABLE_ORDER)
     alpha = np.asarray(alpha, dtype=np.intp)
     idx = np.arange(n)
     if (
@@ -288,7 +320,7 @@ def split_extension_by_involution(
         raise DomainError("alpha must be an involutive permutation of the elements")
     if not np.array_equal(alpha[G.table], G.table[np.ix_(alpha, alpha)]):
         raise DomainError("alpha is not an automorphism")
-    table = np.empty((n, 2, n, 2), dtype=np.int32)
+    table = np.empty((n, 2, n, 2), dtype=TABLE_DTYPE)
     for e, block in enumerate((G.table, G.table[:, alpha])):
         np.multiply(block, 2, out=table[:, e, :, e])
         np.add(table[:, e, :, e], 1, out=table[:, e, :, 1 - e])

@@ -325,6 +325,13 @@ def test_semidirect_expr_over_cap_exits_fast(capsys):
     assert "exceeds the table cap" in capsys.readouterr().err
 
 
+def test_table_order_over_the_int16_ceiling_exits_fast(capsys):
+    start = time.monotonic()
+    assert run(["--table-cap", "100000", "invariants", "Z(40000)"]) == 3
+    assert time.monotonic() - start < 2.0
+    assert "exceeds 32768" in capsys.readouterr().err
+
+
 def test_prime_cap_over_ceiling_exits_fast(capsys):
     start = time.monotonic()
     argv = ["approx-beta", "0.5", "--eps", "0.001", "--prime-cap", "1000000000000"]

@@ -6,6 +6,7 @@ import pytest
 
 from grpinv.arith import tau, unit_involutions
 from grpinv.catalog import builtin_catalog
+from grpinv.enumeration import enumerate_groups
 from grpinv.errors import (
     DomainError,
     NoIdentityError,
@@ -13,8 +14,13 @@ from grpinv.errors import (
     NotLatinSquareError,
     ResourceLimitError,
 )
+from grpinv.expr import evaluate, parse_group_expr
 from grpinv.groups import (
+    MAX_TABLE_ORDER,
+    TABLE_DTYPE,
+    _check_cap,
     _circulant,
+    _freeze,
     cyclic_subgroups,
     dihedral_product,
     direct_product,
@@ -263,7 +269,7 @@ def test_semidirect_matches_a_mod_reference():
         for u in unit_involutions(n):
             G = semidirect_zn_z2(n, u)
             assert G.name == f"SD({n},{u})"
-            assert G.table.dtype == np.int32 and not G.table.flags.writeable
+            assert G.table.dtype == TABLE_DTYPE and not G.table.flags.writeable
             assert np.array_equal(G.table, _semidirect_mod_reference(n, u)), (n, u)
 
 
@@ -380,11 +386,72 @@ def test_circulant_builders_match_a_mod_reference(build):
             continue
         G = build(m)
         table = G.table
-        assert table.dtype == np.int32 and table.shape == (m, m), m
+        assert table.dtype == TABLE_DTYPE and table.shape == (m, m), m
         assert table.flags.c_contiguous and not table.flags.writeable, m
         for start in range(0, m, 512):
             rows = np.arange(start, min(start + 512, m))
             assert np.array_equal(table[rows], _mod_reference(build, m, rows)), m
+
+
+def test_every_construction_path_returns_a_frozen_int16_table():
+    assert TABLE_DTYPE is np.int16
+    z4 = make_cyclic(4)
+    groups = [
+        z4,
+        make_dihedral(10),
+        make_dicyclic(12),
+        make_elementary_abelian_2(3),
+        split_extension_by_involution(z4, [0, 3, 2, 1]),
+        direct_product(z4, make_dihedral(6)),
+        dihedral_product((3, 5)),
+        semidirect_zn_z2(12, 5),
+        evaluate(parse_group_expr("Z(2)xSD(8,3)xQ(8)")),
+        verify_axioms([[0, 1], [1, 0]]),
+        verify_axioms(np.array([[1, 0], [0, 1]], dtype=np.int64)),
+        *(entry.group for entry in builtin_catalog()),
+        *enumerate_groups(8).groups,
+    ]
+    for G in groups:
+        table = G.table
+        assert table.dtype == np.int16, G
+        assert table.flags.c_contiguous and not table.flags.writeable, G
+
+
+def test_freeze_wraps_an_int16_table_without_a_copy():
+    table = make_dihedral(6).table.copy()
+    assert _freeze(table).table is table
+
+
+def test_order_ceiling_is_checked_before_any_work():
+    _check_cap(MAX_TABLE_ORDER, MAX_TABLE_ORDER)
+    _check_cap(MAX_TABLE_ORDER, 10**9)
+    with pytest.raises(ResourceLimitError, match="int16"):
+        _check_cap(MAX_TABLE_ORDER + 1, 10**9)
+    # A zero-cost view with an over-wide shape: refused before the cast.
+    with pytest.raises(ResourceLimitError):
+        _freeze(np.broadcast_to(np.int64(0), (MAX_TABLE_ORDER + 1,) * 2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            make_cyclic(MAX_TABLE_ORDER + 1, table_cap=10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(NotLatinSquareError, match="range"):
+        verify_axioms([[0, 70000], [70000, 0]])
+
+
+def test_direct_product_writes_straight_into_its_output():
+    G, H = make_dihedral(6), make_dihedral(682)
+    tracemalloc.start()
+    try:
+        P = direct_product(G, H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert P.order == 4092
+    assert peak < 1.2 * P.table.nbytes
 
 
 def test_cyclic_table_build_has_no_square_temporary():

@@ -37,7 +37,7 @@ def main() -> int:
         if args.names:
             for G in result.groups:
                 print(f"    {identify(G) or 'unnamed'}")
-    print(f"total search time {total_elapsed:.2f}s")
+    print(f"total enumeration time (search + dedup) {total_elapsed:.2f}s")
     return 1 if mismatches else 0
 
 

@@ -3,6 +3,8 @@
 The main path backtracks over multiplication-table cells with the identity
 row and column fixed:
 
+* the partial table is ``n`` row lists, so a lookup is two subscripts,
+  and the rows of a filled cell's operands are bound once per cell;
 * cells are filled in expanding "staircase" shells (1,1), (1,2), (2,1),
   (2,2), (1,3), (3,1), ... so that fresh element labels can be forced to
   appear in increasing order -- a sound relabelling cut that keeps at
@@ -17,9 +19,12 @@ row and column fixed:
   a node where ``m + 1`` does not divide the group order is cut.
 
 Survivors are deduplicated through fingerprint buckets plus isomorphism
-tests, keeping the lexicographically least table of each class.  The
-search is serial: it is pure Python under the GIL and measured no faster
-on a thread pool, so ``workers`` arguments are accepted and ignored.
+tests, keeping the lexicographically least table of each class.  Each
+table's generating sequence is built once, for its fingerprint, and a
+bucket's representatives keep theirs, so a comparison is one
+signature-restricted ``iso._search``.  The search is serial: it is pure
+Python under the GIL and measured no faster on a thread pool, so
+``workers`` arguments are accepted and ignored.
 
 A second, independent reference path (`enumerate_groups_reference`)
 iterates over identity-fixed Latin squares in row-major order with
@@ -36,7 +41,11 @@ import numpy as np
 
 from .errors import DomainError, EnumerationTimeout, ResourceLimitError
 from .groups import TABLE_DTYPE, FiniteGroup, _freeze
-from .iso import are_isomorphic, fingerprint
+from .iso import _fingerprint, _generating_sequence, _search
+
+# Unused here; perfbench/tests/test_bench_tracer.py reaches the function as
+# ``enumeration.are_isomorphic`` to check that the tracer wraps every binding.
+from .iso import are_isomorphic  # noqa: F401
 
 DEFAULT_ENUM_CAP = 16
 
@@ -71,22 +80,23 @@ def _staircase_cells(n: int) -> list[tuple[int, int]]:
     return cells
 
 
-def _lagrange_top(t: list[int], n: int, first: int, stop: int, top: int) -> int:
+def _lagrange_top(
+    T: list[list[int]], n: int, first: int, stop: int, top: int
+) -> int:
     """Extend the running maximum label over leading blocks, or refuse.
 
-    ``t`` is a flat n x n table whose blocks ``[0..m]^2`` are filled for
-    every ``m < stop``, and ``top`` is the largest label in block
-    ``[0..first-1]^2``.  A block whose labels are all ``<= m`` is closed
-    under the product and holds the identity, so in any completion that is
-    a group it is a subgroup of order ``m + 1``, which must divide ``n``.
-    Returns the largest label in block ``[0..stop-1]^2``, or -1 when some
-    block ``m`` in ``first..stop-1`` is closed and ``m + 1`` does not
-    divide ``n``.
+    ``T`` is an n x n table of row lists whose blocks ``[0..m]^2`` are
+    filled for every ``m < stop``, and ``top`` is the largest label in
+    block ``[0..first-1]^2``.  A block whose labels are all ``<= m`` is
+    closed under the product and holds the identity, so in any completion
+    that is a group it is a subgroup of order ``m + 1``, which must divide
+    ``n``.  Returns the largest label in block ``[0..stop-1]^2``, or -1
+    when some block ``m`` in ``first..stop-1`` is closed and ``m + 1``
+    does not divide ``n``.
     """
     for m in range(first, stop):
-        row = m * n
         # the identity row and column add label m; then row m and column m
-        top = max(top, m, *t[row + 1 : row + m + 1], *t[n + m : row + m : n])
+        top = max(top, m, *T[m][1 : m + 1], *(T[k][m] for k in range(1, m)))
         if top <= m and n % (m + 1):
             return -1
     return top
@@ -111,22 +121,25 @@ def _search_tables(
     cell_order: list[tuple[int, int]] | None = None,
     deadline: float | None = None,
 ):
-    """Yield completed flat group tables."""
+    """Yield completed flat group tables.
+
+    The partial table is kept as ``n`` row lists ``T[a][b]``, -1 for an
+    empty cell; the trail and the propagation queue hold ``(a, b)`` cells.
+    """
     if n == 1:
         yield (0,)
         return
     cells = cell_order if cell_order is not None else _staircase_cells(n)
-    size = n * n
-    t = [-1] * size
+    T = [[-1] * n for _ in range(n)]
     row_used = [0] * n
     col_used = [0] * n
     row_inv = [[-1] * n for _ in range(n)]
-    trail: list[int] = []
-    queue: list[int] = []
+    trail: list[tuple[int, int]] = []
+    queue: list[tuple[int, int]] = []
 
     for k in range(n):
-        t[k] = k
-        t[k * n] = k
+        T[0][k] = k
+        T[k][0] = k
         row_inv[0][k] = k
         row_inv[k][k] = 0
     row_used[0] = (1 << n) - 1
@@ -139,37 +152,37 @@ def _search_tables(
 
     def assign(a: int, b: int, v: int) -> bool:
         nonlocal introduced
-        idx = a * n + b
-        cur = t[idx]
+        ra = T[a]
+        cur = ra[b]
         if cur >= 0:
             return cur == v
         bit = 1 << v
         if row_used[a] & bit or col_used[b] & bit:
             return False
-        t[idx] = v
+        ra[b] = v
         row_used[a] |= bit
         col_used[b] |= bit
         row_inv[a][v] = b
-        trail.append(idx)
-        queue.append(idx)
+        cell = (a, b)
+        trail.append(cell)
+        queue.append(cell)
         if v > introduced:
             introduced = v
         return True
 
     def propagate() -> bool:
         while queue:
-            idx = queue.pop()
-            a, b = divmod(idx, n)
-            v = t[idx]
-            ta = a * n
-            tb = b * n
-            tv = v * n
+            a, b = queue.pop()
+            ra = T[a]
+            rb = T[b]
+            v = ra[b]
+            rv = T[v]
             for z in range(1, n):
                 # triples (a, b, z): (ab)z = v*z against a*(bz)
-                q = t[tb + z]
+                q = rb[z]
                 if q >= 0:
-                    left = t[tv + z]
-                    right = t[ta + q]
+                    left = rv[z]
+                    right = ra[q]
                     if left >= 0:
                         if right >= 0:
                             if left != right:
@@ -181,10 +194,11 @@ def _search_tables(
                         if derive and not assign(v, z, right):
                             return False
                 # triples (z, a, b): (za)b against z*(ab) = z*v
-                p = t[z * n + a]
+                rz = T[z]
+                p = rz[a]
                 if p >= 0:
-                    left = t[p * n + b]
-                    right = t[z * n + v]
+                    left = T[p][b]
+                    right = rz[v]
                     if left >= 0:
                         if right >= 0:
                             if left != right:
@@ -196,11 +210,12 @@ def _search_tables(
                         if derive and not assign(p, b, right):
                             return False
                 # triples (z, y, b) with z*y = a: (zy)b = ab = v against z*(yb)
-                y = row_inv[z][a]
+                iz = row_inv[z]
+                y = iz[a]
                 if y >= 1:
-                    q2 = t[y * n + b]
+                    q2 = T[y][b]
                     if q2 >= 0:
-                        right = t[z * n + q2]
+                        right = rz[q2]
                         if right >= 0:
                             if right != v:
                                 return False
@@ -208,11 +223,11 @@ def _search_tables(
                             if not assign(z, q2, v):
                                 return False
                 # triples (a, z, y) with z*y = b: a*(zy) = ab = v against (az)y
-                y = row_inv[z][b]
+                y = iz[b]
                 if y >= 1:
-                    p2 = t[ta + z]
+                    p2 = ra[z]
                     if p2 >= 0:
-                        left = t[p2 * n + y]
+                        left = T[p2][y]
                         if left >= 0:
                             if left != v:
                                 return False
@@ -227,7 +242,7 @@ def _search_tables(
             y = a
             length = 1
             while True:
-                y = t[y * n + a]
+                y = T[y][a]
                 if y < 0:
                     break
                 length += 1
@@ -241,10 +256,10 @@ def _search_tables(
 
     def unwind(mark: int) -> None:
         while len(trail) > mark:
-            idx = trail.pop()
-            v = t[idx]
-            a, b = divmod(idx, n)
-            t[idx] = -1
+            a, b = trail.pop()
+            ra = T[a]
+            v = ra[b]
+            ra[b] = -1
             bit = ~(1 << v)
             row_used[a] &= bit
             col_used[b] &= bit
@@ -263,16 +278,16 @@ def _search_tables(
             raise _TimeoutSignal
         while ci < total_cells:
             a, b = cells[ci]
-            if t[a * n + b] < 0:
+            if T[a][b] < 0:
                 break
             ci += 1
         else:
-            yield tuple(t)
+            yield tuple(x for row in T for x in row)
             return
         a, b = cells[ci]
         shell = a if a > b else b
         if staircase and closed_upto < shell - 1:
-            top = _lagrange_top(t, n, closed_upto + 1, shell, top)
+            top = _lagrange_top(T, n, closed_upto + 1, shell, top)
             if top < 0:
                 return
             closed_upto = shell - 1
@@ -307,7 +322,10 @@ def _dedup_classes(
     Returns the classes and whether the deadline cut the pass short; the
     classes are then those deduplicated before it passed.
     """
-    buckets: dict[tuple, list[tuple[FiniteGroup, tuple[int, ...]]]] = {}
+    # Each bucket entry keeps its representative's generating sequence, so
+    # a comparison runs only the search: equal sort keys mean equal
+    # fingerprints.
+    buckets: dict[tuple, list[tuple[FiniteGroup, tuple[int, ...], tuple]]] = {}
     timed_out = False
     for flat in sorted(set(tables)):
         if deadline is not None and time.monotonic() > deadline:
@@ -315,16 +333,17 @@ def _dedup_classes(
             break
         arr = np.array(flat, dtype=TABLE_DTYPE).reshape(n, n)
         G = _freeze(arr)
-        key = fingerprint(G).sort_key()
+        sequence = _generating_sequence(G)
+        key = _fingerprint(G, sequence[0]).sort_key()
         bucket = buckets.setdefault(key, [])
-        for existing, _ in bucket:
-            if are_isomorphic(existing, G) is not None:
+        for existing, _, existing_sequence in bucket:
+            if _search(existing, existing_sequence, G) is not None:
                 break
         else:
-            bucket.append((G, flat))
+            bucket.append((G, flat, sequence))
     ordered = []
     for key in sorted(buckets):
-        for G, _flat in sorted(buckets[key], key=lambda pair: pair[1]):
+        for G, _flat, _sequence in sorted(buckets[key], key=lambda entry: entry[1]):
             ordered.append(G)
     return ordered, timed_out
 

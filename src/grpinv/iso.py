@@ -3,16 +3,17 @@
 A cheap fingerprint of invariants filters out mismatches; its center is
 the set of elements commuting with every generator, an n x gens test.
 A backtracking search then maps a greedy generating sequence of one
-group onto order-compatible images in the other.  Each choice of image
-is replayed through a chain whose (a, b) pairs are G x generators, each
-once, so O(n * gens) lookups: an entry with a new product derives an
-image, every other entry is a relation checked on the spot, since a
-bijection fixing e is a homomorphism iff f(z*g) = f(z)*f(g) for all z and
-all generators g.  The full homomorphism check, streamed over row blocks,
-still certifies every witness.  Generators are picked lowest-index-first
-and images tried in ascending order, so the witness is the
-lexicographically first generator-image tuple that extends to an
-isomorphism.
+group onto images of the same signature (element order and number of
+square roots) in the other.  Each choice of image is replayed through a
+chain whose (a, b) pairs are G x generators, each once, so O(n * gens)
+lookups: an entry with a new product derives an image, every other entry
+is a relation checked on the spot, since a bijection fixing e is a
+homomorphism iff f(z*g) = f(z)*f(g) for all z and all generators g.  The
+full homomorphism check, streamed over row blocks, still certifies every
+witness.  Generators are picked lowest-index-first and images tried in
+ascending order, so the witness is the lexicographically first
+generator-image tuple that extends to an isomorphism; an isomorphism
+preserves signatures, so restricting to them skips no such tuple.
 """
 
 from __future__ import annotations
@@ -146,16 +147,23 @@ def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> IsoWitness | None:
     return _search(G, sequence, H)
 
 
+def _signatures(G: FiniteGroup) -> np.ndarray:
+    """One key per element for its (order, number of square roots), O(n)."""
+    roots = np.bincount(np.diagonal(G.table), minlength=G.order)
+    return np.asarray(element_orders(G)) * (G.order + 1) + roots
+
+
 def _search(G: FiniteGroup, sequence, H: FiniteGroup) -> IsoWitness | None:
     """The backtracking search behind ``are_isomorphic``, from G's
     precomputed ``(generators, chain)``; fingerprints must already match."""
     n = G.order
     generators, chain = sequence
-    orders_g = element_orders(G)
-    orders_h = element_orders(H)
+    signatures_g = _signatures(G)
+    signatures_h = _signatures(H)
     item_h = H.table.item
+    # An isomorphism preserves signatures, so no skipped image could extend.
     candidates = [
-        [h for h in range(n) if orders_h[h] == orders_g[g]] for g in generators
+        np.flatnonzero(signatures_h == signatures_g[g]).tolist() for g in generators
     ]
 
     mapping = [-1] * n

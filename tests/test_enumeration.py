@@ -199,6 +199,8 @@ RAW_TABLES = (1, 1, 1, 3, 1, 9, 1, 27, 4, 11, 1, 113, 1, 13, 9, 707, 1, 198, 1, 
 #: SHA-256 over the bytes of every table ``_search_tables(n)`` yields, in order.
 SEARCH_DIGESTS = {
     12: "58589d09955315d31d6d7b3991c61d94be772bda685e89732bba867fc7bb7484",
+    16: "d2d817c9716ebac7301eea2c3f3b8a7ee8e8c0cea9aa5cef824de458f693be0e",
+    18: "68c82f87f4a8ed5843d3b9c4f6078ecc9f9e831b142e9f879012d678e0770ff6",
     20: "4af03242733e0ddbfbbe0acc0e10089d53e54dbce8d169347ff3765c07f89eee",
 }
 
@@ -239,16 +241,18 @@ def test_raw_search_is_pinned(orders_17_to_20):
     explored += [results[n].tables_explored for n in range(17, 21)]
     assert tuple(explored) == RAW_TABLES
     assert _search_digest(enumeration._search_tables(12)) == SEARCH_DIGESTS[12]
+    assert _search_digest(enumeration._search_tables(16)) == SEARCH_DIGESTS[16]
+    assert digests[18] == SEARCH_DIGESTS[18]
     assert digests[20] == SEARCH_DIGESTS[20]
 
 
-def _table(n: int, cells: dict) -> list[int]:
-    t = [-1] * (n * n)
+def _table(n: int, cells: dict) -> list[list[int]]:
+    T = [[-1] * n for _ in range(n)]
     for k in range(n):
-        t[k] = t[k * n] = k
+        T[0][k] = T[k][0] = k
     for (a, b), v in cells.items():
-        t[a * n + b] = v
-    return t
+        T[a][b] = v
+    return T
 
 
 def test_lagrange_cut_refuses_only_closed_blocks_of_non_dividing_size():

@@ -6,12 +6,16 @@ import time
 import tracemalloc
 import weakref
 
+import numpy as np
+
 from grpinv.catalog import builtin_catalog, catalog_group
 from grpinv.enumeration import all_groups_upto
 from grpinv import iso
 from grpinv.expr import evaluate, parse_group_expr
 from grpinv.groups import (
+    _freeze,
     direct_product,
+    element_orders,
     make_cyclic,
     make_dicyclic,
     make_dihedral,
@@ -175,6 +179,69 @@ def test_fingerprints_witnesses_and_names_are_pinned():
         witness = are_isomorphic(G, H)
         digest.update(repr(None if witness is None else witness.bijection).encode())
     assert digest.hexdigest() == PINNED_DIGEST
+
+
+def _relabelled(G, rng):
+    """G under a random relabelling of its non-identity elements."""
+    perm = np.array([0] + rng.sample(range(1, G.order), G.order - 1))
+    table = np.empty_like(G.table)
+    table[np.ix_(perm, perm)] = perm[G.table]
+    return _freeze(table)
+
+
+def _order_only_witness(G, H):
+    """The lexicographically first images of G's greedy generators that
+    extend to an isomorphism onto H, trying every image of the same
+    element order; the bijection, or None."""
+    n = G.order
+    generators = _generating_sequence(G)[0]
+    orders_g, orders_h = element_orders(G), element_orders(H)
+
+    def extend(images):
+        # the map on the span of the first len(images) generators, or None
+        gens = generators[: len(images)]
+        mapping = {0: 0}
+        frontier = [0]
+        for w in frontier:
+            for g, h in zip(gens, images):
+                z, value = G.mult(w, g), H.mult(mapping[w], h)
+                if z not in mapping:
+                    mapping[z] = value
+                    frontier.append(z)
+                elif mapping[z] != value:
+                    return None
+        return mapping if len(set(mapping.values())) == len(mapping) else None
+
+    def search(images):
+        mapping = extend(images)
+        if mapping is None:
+            return None
+        if len(images) == len(generators):
+            return tuple(mapping[x] for x in range(n))
+        g = generators[len(images)]
+        for h in range(n):
+            if orders_h[h] == orders_g[g]:
+                found = search(images + [h])
+                if found is not None:
+                    return found
+        return None
+
+    return search([])
+
+
+def test_signature_candidates_keep_the_first_witness():
+    # Images are restricted to the same order and square-root count; an
+    # isomorphism preserves both, so the witness is that of the search
+    # over every image of the same order.
+    rng = random.Random(20251018)
+    results = all_groups_upto(16)
+    for n in (8, 12, 16):
+        for G in results[n].groups:
+            H = _relabelled(G, rng)
+            for A, B in ((G, H), (H, G), (G, G)):
+                witness = are_isomorphic(A, B)
+                assert witness is not None, (n, G)
+                assert witness.bijection == _order_only_witness(A, B), (n, G)
 
 
 def test_chain_checks_leave_only_isomorphisms_to_certify(monkeypatch):

@@ -86,7 +86,7 @@ def _primes_upto(limit: int) -> tuple[int, ...]:
     for p in range(2, isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return tuple(int(p) for p in np.nonzero(sieve)[0])
+    return tuple(np.flatnonzero(sieve).tolist())
 
 
 def iter_odd_primes(cap: int = DEFAULT_PRIME_CAP):

@@ -23,15 +23,17 @@ greedy would take every prime and never stop.  That full product is the
 scan's own running product, cached per cap over every odd prime up to
 it, so the refusal and its best selection go through the same exact
 checks and the same reduction as a scan.  Large selections are
-reduced in prime-exponent space (the exponent of each prime in
-prod (p+1)/(p+2), found by vectorised trial division), so no gcd ever
-runs on the half-million-digit unreduced products.  Their exact checks
+reduced in prime-exponent space: the exponent of each prime in
+prod (p+1)/(p+2) is read off a smallest-factor table built once per cap,
+and the coprime numerator and denominator that come out are wrapped as a
+Fraction without any gcd.  Their exact checks
 read floor/ceiling-truncated brackets of those products, which decide
 every comparison but exact ties; only a tie forms the products.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -39,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import DEFAULT_PRIME_CAP, MAX_PRIME_CAP, iter_odd_primes
+from .arith import DEFAULT_PRIME_CAP, MAX_PRIME_CAP, _primes_upto, iter_odd_primes
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -62,10 +64,11 @@ __all__ = [
 _MARGIN = 1e-9
 
 #: Selections of at least this many primes are reduced by prime exponents
-#: rather than by Fraction's gcd.  Measured on a 2-core x86-64 host with
-#: Python 3.11: 3k scattered primes 3.5 ms by exponents vs 2.3 ms by
-#: Fraction, 5k 6.1 vs 6.8 ms, 10k 15 vs 30 ms, the 78,497 primes up to
-#: 10**6 0.2 vs 1.9 s.
+#: rather than by Fraction's gcd.  From the same size on the greedy's exact
+#: checks read brackets; the bracket timings in _RunningBeta set the value.
+#: With the factor table built, on a 2-core x86-64 host with Python 3.11
+#: (best of 7), 5k primes drawn from those up to 10**6 reduce in 6.1 ms by
+#: exponents vs 30 ms by Fraction, all 78,497 in 50 ms vs 2.6 s.
 _EXPONENT_ROUTE_MIN = 5_000
 
 
@@ -113,36 +116,89 @@ def selection_beta(selection) -> Fraction:
     return Fraction(_prod([p + 1 for p in primes]), _prod([p + 2 for p in primes]))
 
 
-def _exponent_beta(primes) -> Fraction:
-    """selection_beta(primes) built from the exponent of each prime in the
-    product, so no gcd runs on the unreduced products.
+@functools.lru_cache(maxsize=4)
+def _factor_table(prime_cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """(small, table) for factoring every p + 1 and p + 2 with p <= cap.
 
-    Every p + 1 and p + 2 is at most max(primes) + 2, so after trial
-    division by the primes up to its square root what is left of each
-    value is 1 or a prime, and the numerator and denominator come out
-    coprime: Fraction's own gcd on them is cheap.
+    ``small`` holds the odd primes up to isqrt(cap + 2); ``table[m // 2]``
+    is, for every odd m <= cap + 2, the 1-based index in ``small`` of m's
+    smallest prime factor, or 0 when m has none there (m = 1 or a larger
+    prime).  Each small prime marks its own entry too, so a small prime
+    left over from a division is still counted as small.
     """
-    # int32 holds p + 2 up to MAX_PRIME_CAP and divides faster than int64.
+    primes = _primes_upto(prime_cap)
+    small = np.array(
+        primes[1 : bisect.bisect_right(primes, math.isqrt(prime_cap + 2))],
+        dtype=np.int32,
+    )
+    # uint16 holds the 445 indices up to MAX_PRIME_CAP at 2 bytes an entry.
+    table = np.zeros((prime_cap + 3) // 2, dtype=np.uint16)
+    # Largest first, so each entry ends on its smallest factor.
+    for index in range(len(small), 0, -1):
+        q = int(small[index - 1])
+        table[q // 2 :: q] = index
+    return small, table
+
+
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """Fraction(num, den) for coprime num and den > 0, without its gcd.
+
+    Set through the slots because ``_normalize=False`` is gone from 3.12
+    on and ``_from_coprime_ints`` only arrived there.
+    """
+    q = object.__new__(Fraction)
+    q._numerator = num
+    q._denominator = den
+    return q
+
+
+def _prime_exponents(primes, prime_cap: int) -> tuple[list[int], list[int]]:
+    """The distinct primes of prod (p+1)/(p+2) over ``primes`` (each at most
+    ``prime_cap``) and their net exponents, positive in the numerator.
+
+    Powers of 2 come off each p + 1 by a shift (p + 2 is odd); the odd
+    rest of every value is split by _factor_table lookups until what is
+    left is 1 or a prime above isqrt(cap + 2).  Its arrays are freed on
+    return, before the caller's big-integer products.
+    """
+    small, table = _factor_table(prime_cap)
     values = np.array(primes, dtype=np.int32)
-    rest = np.concatenate([values + 1, values + 2])
-    sign = np.repeat(np.array([1, -1]), len(values))
-    bases, exponents = [], []
-    for q in [2, *iter_odd_primes(math.isqrt(int(values.max()) + 2))]:
-        hit = np.flatnonzero(rest % q == 0)
-        e = 0
-        while hit.size:
-            rest[hit] //= q
-            e += int(sign[hit].sum())
-            hit = hit[rest[hit] % q == 0]
-        bases.append(q)
-        exponents.append(e)
-    left = rest > 1
-    large, where = np.unique(rest[left], return_inverse=True)
-    bases += large.tolist()
-    exponents += np.bincount(where, weights=sign[left]).astype(np.int64).tolist()
+    up = values + 1
+    twos = np.frexp(up & -up)[1] - 1
+    # Bin 0 of the small primes' counts stays empty: index 0 is no factor.
+    counts = np.zeros(len(small) + 1, dtype=np.int64)
+    left = []
+    # The numerator's values, then the denominator's: one side at a time
+    # keeps the pass's temporaries small.  ``part`` holds the values still
+    # being split, ``rest`` what is left of every value so far.
+    for rest, sign in ((up >> twos, 1), (values + 2, -1)):
+        live, part = np.arange(len(rest), dtype=np.int32), rest
+        while part.size:
+            index = table[part >> 1]
+            rest[live] = part
+            found = np.flatnonzero(index)
+            live, part, index = live[found], part[found], index[found]
+            counts += sign * np.bincount(index, minlength=len(counts))
+            part = part // small[index - 1]
+        left.append(rest[rest > 1])
+    large, where = np.unique(np.concatenate(left), return_inverse=True)
+    cut = len(left[0])
+    large_exponents = np.bincount(where[:cut], minlength=len(large))
+    large_exponents -= np.bincount(where[cut:], minlength=len(large))
+    bases = [2, *small.tolist(), *large.tolist()]
+    exponents = [int(twos.sum()), *counts[1:].tolist(), *large_exponents.tolist()]
+    return bases, exponents
+
+
+def _exponent_beta(primes, prime_cap: int = DEFAULT_PRIME_CAP) -> Fraction:
+    """selection_beta(primes) for primes up to ``prime_cap``, built from the
+    exponent of each prime in the product.  Every base is a distinct prime
+    with one net exponent, so the numerator and the denominator come out
+    coprime and no gcd runs at all."""
+    bases, exponents = _prime_exponents(primes, prime_cap)
     num = _prod([b**e for b, e in zip(bases, exponents) if e > 0])
     den = _prod([b**-e for b, e in zip(bases, exponents) if e < 0])
-    return Fraction(num, den)
+    return _coprime_fraction(num, den)
 
 
 #: Bits kept of a bracketed running product.  Above 1024, so a truncated
@@ -224,8 +280,11 @@ class _RunningBeta:
     2-core host), so the smaller selections keep the exact products.
     """
 
-    def __init__(self, primes: list[int] | tuple[int, ...]) -> None:
+    def __init__(
+        self, primes: list[int] | tuple[int, ...], prime_cap: int = DEFAULT_PRIME_CAP
+    ) -> None:
         self.primes = primes
+        self.prime_cap = prime_cap
         self._exact = (1, 1)
         self._exact_upto = 0
         self._brackets: tuple[_Bracket, _Bracket] | None = None
@@ -284,7 +343,7 @@ class _RunningBeta:
         """The exact reduced product, kept until another prime is chosen."""
         if self._beta_upto != len(self.primes):
             if len(self.primes) >= _EXPONENT_ROUTE_MIN:
-                self._beta = _exponent_beta(self.primes)
+                self._beta = _exponent_beta(self.primes, self.prime_cap)
             else:
                 self._beta = Fraction(*self.exact())
             self._beta_upto = len(self.primes)
@@ -294,14 +353,14 @@ class _RunningBeta:
 @functools.lru_cache(maxsize=4)
 def _every_odd_prime_product(prime_cap: int) -> _RunningBeta:
     """Shared by every target below the floor of this cap."""
-    return _RunningBeta(tuple(iter_odd_primes(prime_cap)))
+    return _RunningBeta(_primes_upto(prime_cap)[1:], prime_cap)
 
 
 @functools.lru_cache(maxsize=4)
 def _log_floor(prime_cap: int) -> float:
     """ln(1/floor) = sum of ln((p+2)/(p+1)) over the odd primes up to the
     cap, as a float within _MARGIN of the exact sum."""
-    primes = np.fromiter(iter_odd_primes(prime_cap), dtype=np.float64)
+    primes = np.array(_primes_upto(prime_cap), dtype=np.float64)[1:]
     return float(np.log1p(1.0 / (primes + 1.0)).sum())
 
 
@@ -355,7 +414,7 @@ def approximate_beta(
     # beta - t <= eps  <=>  num*c - den*d <= 0 for these c, d.
     close_c = td * eps.denominator
     close_d = tn * eps.denominator + eps.numerator * td
-    running = _RunningBeta([])
+    running = _RunningBeta([], prime_cap)
 
     def exact_residual(product: _RunningBeta) -> float:
         log_num, log_den = product.logs()

@@ -270,16 +270,22 @@ def direct_product(
     """Direct product on row-major index pairs: (g, h) -> g*|H| + h."""
     order = G.order * H.order
     _check_cap(order, table_cap)
-    # Row offsets g*|H| for every cell of G, then one add straight into the
+    # Row offsets g*|H| for every cell of G, then adds straight into the
     # output: every sum is an index below order <= MAX_TABLE_ORDER, so it
     # fits TABLE_DTYPE and no wider n x n intermediate is made.
     offsets = np.arange(0, order, H.order, dtype=TABLE_DTYPE)[G.table]
     table = np.empty((order, order), dtype=TABLE_DTYPE)
-    np.add(
-        offsets[:, None, :, None],
-        H.table[None, :, None, :],
-        out=table.reshape(G.order, H.order, G.order, H.order),
-    )
+    blocks = table.reshape(G.order, H.order, G.order, H.order)
+    if H.order <= 8 <= G.order // H.order:
+        # A broadcast add runs its inner loop over only |H| cells, so for a
+        # small H one strided add of G's offsets per cell of H is faster
+        # (D2046 x Z2 on a 2-core x86-64 host: ~130 -> ~30 ms).  The
+        # per-cell adds lose from |H| ~ 12 on (strided writes) and below
+        # |G| = 8|H| (|H|^2 calls).
+        for (a, b), value in np.ndenumerate(H.table):
+            np.add(offsets, value, out=blocks[:, a, :, b])
+    else:
+        np.add(offsets[:, None, :, None], H.table[None, :, None, :], out=blocks)
     name = None
     if G.name and H.name:
         name = f"{G.name}x{H.name}"

@@ -3,15 +3,17 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import takewhile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from grpinv import density
-from grpinv.arith import iter_odd_primes, odd_primes
+from grpinv.arith import MAX_PRIME_CAP, _primes_upto, iter_odd_primes, odd_primes
 from grpinv.density import (
     PrimeSelection,
     TooLarge,
@@ -19,7 +21,7 @@ from grpinv.density import (
     materialize,
     selection_beta,
 )
-from grpinv.errors import ConvergenceError, DomainError
+from grpinv.errors import ConvergenceError, DomainError, ResourceLimitError
 from grpinv.groups import invariants
 
 
@@ -168,7 +170,8 @@ def test_exponent_reduction_matches_selection_beta(monkeypatch):
     monkeypatch.setattr(
         density,
         "_exponent_beta",
-        lambda selection: reduced.append(len(selection)) or exponent_beta(selection),
+        lambda selection, prime_cap: reduced.append(len(selection))
+        or exponent_beta(selection, prime_cap),
     )
     for n in (cut - 1, cut):
         # The exact prefix product is hit on its last prime and nowhere else.
@@ -180,6 +183,82 @@ def test_exponent_reduction_matches_selection_beta(monkeypatch):
         approximate_beta(Fraction(1, 10), GREEDY_EPS, prime_cap=2 * 10**5)
     assert exc_info.value.best.predicted_beta == selection_beta(primes)
     assert reduced == [cut, len(primes)]
+
+
+def test_exponent_reduction_of_edge_primes():
+    for cap in (7, 1000, 999983, 10**6):
+        primes = list(iter_odd_primes(cap))
+        prime_set = set(primes)
+        root = math.isqrt(cap + 2)
+        twins = [p for p in primes if p + 2 in prime_set]
+        cases = [
+            # p + 1 a power of two: nothing is left for the table.
+            [p for p in (3, 7, 31, 127, 8191, 131071, 524287) if p <= cap],
+            # p + 2 a small prime, which must be counted as small.
+            [p for p in primes if p + 2 <= root and p + 2 in prime_set],
+            twins[:20] + twins[-20:],
+            [p + 2 for p in twins[:20] + twins[-20:]],
+            primes[-1:],
+            primes[-2:],
+            sorted(set(primes[:300] + primes[-300:])),
+        ]
+        for selection in cases:
+            beta = density._exponent_beta(selection, cap)
+            assert math.gcd(beta.numerator, beta.denominator) == 1, (cap, selection)
+            assert beta == selection_beta(selection), (cap, selection)
+
+
+def test_factor_table_holds_each_smallest_factor_index():
+    cap = 1000
+    small, table = density._factor_table(cap)
+    assert small.tolist() == [p for p in iter_odd_primes(math.isqrt(cap + 2))]
+    assert table.dtype == np.uint16 and len(table) == (cap + 3) // 2
+    for m in range(1, cap + 3, 2):
+        factors = [q for q in small.tolist() if m % q == 0]
+        assert table[m // 2] == (small.tolist().index(factors[0]) + 1 if factors else 0)
+    # Every index up to the prime-cap ceiling fits the table's dtype.
+    ceiling = _primes_upto(math.isqrt(MAX_PRIME_CAP + 2))
+    assert len(ceiling) - 1 == 445 <= np.iinfo(np.uint16).max
+
+
+def test_coprime_fraction_is_a_plain_fraction():
+    for num, den in ((0, 1), (1, 1), (4, 5), (2**521 - 1, 3**400), (10**50, 7)):
+        wrapped, reduced = density._coprime_fraction(num, den), Fraction(num, den)
+        assert type(wrapped) is Fraction
+        assert (wrapped.numerator, wrapped.denominator) == (num, den)
+        assert wrapped == reduced and hash(wrapped) == hash(reduced)
+        assert repr(wrapped) == repr(reduced)
+        assert wrapped + Fraction(1, 3) == reduced + Fraction(1, 3)
+        assert float(wrapped) == float(reduced) and wrapped <= reduced
+
+
+def test_factor_table_is_built_once_per_cap():
+    cap, eps = 2 * 10**5, Fraction(1, 10**4)
+    density._factor_table.cache_clear()
+    density._every_odd_prime_product.cache_clear()
+    first = approximate_beta(Fraction(1300, 10**4), eps, prime_cap=cap)
+    with pytest.raises(ConvergenceError) as exc_info:
+        approximate_beta(Fraction(1, 10), eps, prime_cap=cap)
+    second = approximate_beta(Fraction(1310, 10**4), eps, prime_cap=cap)
+    selections = (first, exc_info.value.best, second)
+    assert min(len(s.primes) for s in selections) >= density._EXPONENT_ROUTE_MIN
+    for selection in selections:
+        assert selection.predicted_beta == selection_beta(selection)
+    info = density._factor_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+
+def test_prime_cap_ceiling_is_checked_before_any_work():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            approximate_beta(
+                Fraction(1, 10), Fraction(1, 10**4), prime_cap=MAX_PRIME_CAP + 1
+            )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_running_product_logs_are_math_log_bit_for_bit(monkeypatch):

@@ -454,6 +454,32 @@ def test_direct_product_writes_straight_into_its_output():
     assert peak < 1.2 * P.table.nbytes
 
 
+def test_direct_product_tables_are_the_index_pair_tables():
+    # Small right factors take one add per cell of H, larger ones one
+    # broadcast add; both must give (g, h) -> g*|H| + h bytes exactly.
+    for G, H in (
+        (make_dihedral(2046), make_cyclic(2)),
+        (make_cyclic(2), make_dihedral(2046)),
+        (make_dihedral(6), make_dihedral(682)),
+        (make_cyclic(4), make_cyclic(2)),
+        (make_dihedral(100), make_dihedral(6)),
+    ):
+        tracemalloc.start()
+        try:
+            P = direct_product(G, H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        g, h = G.table.astype(np.int64), H.table.astype(np.int64)
+        expected = g[:, None, :, None] * H.order + h[None, :, None, :]
+        expected = expected.reshape(P.order, P.order).astype(TABLE_DTYPE)
+        assert P.table.dtype == TABLE_DTYPE
+        assert P.table.tobytes() == expected.tobytes()
+        assert P.name == f"{G.name}x{H.name}"
+        # The output and G's row offsets, and no temporary per cell.
+        assert peak < P.table.nbytes + G.table.nbytes + 2**16
+
+
 def test_cyclic_table_build_has_no_square_temporary():
     n = 4093
     tracemalloc.start()

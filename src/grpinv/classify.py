@@ -8,9 +8,6 @@ no enumerated group outside the list does.  A counterexample report
 carries the offending multiplication table so the failure can be
 re-checked independently of this package.
 
-The ``workers`` keyword of the entry points that enumerate groups is
-accepted for compatibility; ignored, the search is serial.
-
 Claim identifiers
 -----------------
 T1.1-r0 / T1.1-r1 / T1.1-r2
@@ -42,10 +39,10 @@ L4.2
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import euler_phi, iter_odd_primes, tau, unit_involutions
 from .catalog import catalog_group, generalized_dihedral
+from .density import selection_beta
 from .enumeration import DEFAULT_ENUM_CAP, all_groups_upto
 from .errors import DomainError, ResourceLimitError
 from .groups import (
@@ -239,7 +236,6 @@ def verify_theorem1(
     max_order: int,
     *,
     enum_cap: int = DEFAULT_ENUM_CAP,
-    workers: int = 1,
 ) -> tuple[VerificationReport, VerificationReport, VerificationReport]:
     """The r = 0, 1, 2 classifications against exhaustive enumeration."""
     by_order = all_groups_upto(max_order, enum_cap=enum_cap)
@@ -264,7 +260,6 @@ def verify_involution_threshold(
     max_order: int,
     *,
     enum_cap: int = DEFAULT_ENUM_CAP,
-    workers: int = 1,
 ) -> VerificationReport:
     """Every enumerated group with 4 i(G) > 3 |G| is elementary abelian."""
     by_order = all_groups_upto(max_order, enum_cap=enum_cap)
@@ -323,7 +318,6 @@ def verify_c_order_deficit(
     max_order: int,
     *,
     enum_cap: int = DEFAULT_ENUM_CAP,
-    workers: int = 1,
 ) -> VerificationReport:
     """Groups with c(G) = |G| - r match the published list for r in {1, 2, 4}.
 
@@ -491,9 +485,7 @@ def check_lemma42(
             f"product order {order} exceeds the table cap {table_cap}"
         )
     product = dihedral_product(primes, table_cap=table_cap)
-    expected = Fraction(1)
-    for p in primes:
-        expected *= Fraction(p + 1, p + 2)
+    expected = selection_beta(primes)
     counted = invariants(product).beta
     scope = f"primes = {primes}"
     if counted != expected:
@@ -525,7 +517,6 @@ def check_unique_cyclic_normality(
     max_order: int,
     *,
     enum_cap: int = DEFAULT_ENUM_CAP,
-    workers: int = 1,
 ) -> VerificationReport:
     """A cyclic subgroup that is unique of its order is normal, across all
     enumerated groups of order <= max_order."""
@@ -556,9 +547,7 @@ def check_unique_cyclic_normality(
     )
 
 
-def order12_case_f_report(
-    *, enum_cap: int = DEFAULT_ENUM_CAP, workers: int = 1
-) -> VerificationReport:
+def order12_case_f_report(*, enum_cap: int = DEFAULT_ENUM_CAP) -> VerificationReport:
     """At order 12, exactly one class has r = 2 (the 12-gon symmetries), and
     no class with r = 2 realizes the excluded configuration of two distinct
     order-3 cyclic subgroups as its only cyclic subgroups of order > 2."""

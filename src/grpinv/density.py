@@ -22,13 +22,15 @@ full product exceeds t + eps, every prefix product does too, so the
 greedy would take every prime and never stop.  That full product is the
 scan's own running product, cached per cap over every odd prime up to
 it, so the refusal and its best selection go through the same exact
-checks and the same reduction as a scan.  Large selections are
-reduced in prime-exponent space: the exponent of each prime in
-prod (p+1)/(p+2) is read off a smallest-factor table built once per cap,
-and the coprime numerator and denominator that come out are wrapped as a
-Fraction without any gcd.  Their exact checks
-read floor/ceiling-truncated brackets of those products, which decide
-every comparison but exact ties; only a tie forms the products.
+checks and the same reduction as a scan.
+
+The one exact number behind those checks is the reduced product, which
+the result needs anyway.  Small selections are reduced by Fraction's
+gcd.  Large ones are reduced in prime-exponent space: the exponent of
+each prime in prod (p+1)/(p+2) is read off a smallest-factor table built
+once per cap, and the coprime numerator and denominator that come out
+are wrapped as a Fraction without any gcd.  The size where one method
+takes over from the other is where their timings cross.
 """
 
 from __future__ import annotations
@@ -64,12 +66,12 @@ __all__ = [
 _MARGIN = 1e-9
 
 #: Selections of at least this many primes are reduced by prime exponents
-#: rather than by Fraction's gcd.  From the same size on the greedy's exact
-#: checks read brackets; the bracket timings in _RunningBeta set the value.
-#: With the factor table built, on a 2-core x86-64 host with Python 3.11
-#: (best of 7), 5k primes drawn from those up to 10**6 reduce in 6.1 ms by
-#: exponents vs 30 ms by Fraction, all 78,497 in 50 ms vs 2.6 s.
-_EXPONENT_ROUTE_MIN = 5_000
+#: rather than by Fraction's gcd; this is where the two cross.  With the
+#: factor table built, on a 2-core x86-64 host with Python 3.11 (best of 7),
+#: the first n odd primes reduce by exponents vs by Fraction in 0.50 vs
+#: 0.21 ms at n = 300, 0.91 vs 0.90 ms at 1,000 and 1.34 vs 4.25 ms at
+#: 3,000; all 78,497 primes up to 10**6 take 50 ms vs 2.6 s.
+_EXPONENT_ROUTE_MIN = 1_000
 
 
 @dataclass(frozen=True, repr=False)
@@ -201,83 +203,13 @@ def _exponent_beta(primes, prime_cap: int = DEFAULT_PRIME_CAP) -> Fraction:
     return _coprime_fraction(num, den)
 
 
-#: Bits kept of a bracketed running product.  Above 1024, so a truncated
-#: product is too large for a float, the case _Bracket.log reproduces.
-_KEPT_BITS = 1088
-
-
-class _Bracket:
-    """Floor- and ceiling-truncated running product N of positive ints:
-    lo * 2**shift <= N <= hi * 2**shift, with lo kept to _KEPT_BITS bits."""
-
-    __slots__ = ("lo", "hi", "shift")
-
-    def __init__(self, values: list[int]) -> None:
-        self.lo = self.hi = 1
-        self.shift = 0
-        self.extend(values)
-
-    def extend(self, values: list[int]) -> None:
-        """Multiply N by every value, 64 at a time."""
-        lo, hi, shift = self.lo, self.hi, self.shift
-        for start in range(0, len(values), 64):
-            part = math.prod(values[start : start + 64])
-            lo *= part
-            hi *= part
-            drop = lo.bit_length() - _KEPT_BITS
-            if drop > 0:
-                lo >>= drop
-                hi = -(-hi >> drop)
-                shift += drop
-        self.lo, self.hi, self.shift = lo, hi, shift
-
-    def sign(self, c: int, other: _Bracket, d: int) -> int | None:
-        """The sign of N*c - D*d, with D the product ``other`` brackets and
-        c, d >= 0, or None when the brackets cannot decide it."""
-        up = max(self.shift - other.shift, 0)
-        down = max(other.shift - self.shift, 0)
-        lo, hi = self.lo * c << up, self.hi * c << up
-        other_lo, other_hi = other.lo * d << down, other.hi * d << down
-        if lo > other_hi:
-            return 1
-        if hi < other_lo:
-            return -1
-        if lo == hi == other_lo == other_hi:
-            return 0
-        return None
-
-    def log(self) -> float | None:
-        """math.log(N), bit for bit, or None when the two ends round apart.
-
-        For an int too large for a float, math.log returns
-        log(m) + log(2) * e, where m * 2**e is the int correctly rounded to
-        53 bits; both ends must round to the same m and e.
-        """
-        if self.shift == 0:
-            return math.log(self.lo)
-        ends = set()
-        for end in (self.lo, self.hi):
-            bits = end.bit_length()
-            mantissa, exponent = math.frexp(end / (1 << (bits - 1)))
-            ends.add((mantissa, exponent + bits - 1 + self.shift))
-        if len(ends) > 1:
-            return None
-        ((mantissa, exponent),) = ends
-        return math.log(mantissa) + math.log(2.0) * exponent
-
-
 class _RunningBeta:
     """prod (p+1) / prod (p+2) over ``primes``, for the greedy's exact
     decisions: a list the scan appends its chosen primes to, or a tuple of
     every odd prime up to a cap, which fixes the product.
 
-    Below _EXPONENT_ROUTE_MIN primes every decision reads the exact
-    numerator and denominator, extended by the primes chosen since the last
-    one.  From there on the unreduced products run to ~1.4M bits, so a
-    decision reads their brackets first and forms them only when the
-    brackets cannot decide (exact ties).  Brackets at every size made the
-    sweep's 1.3k-4.8k-prime targets 11-40% slower (best of 15 runs on a
-    2-core host), so the smaller selections keep the exact products.
+    The reduced product, which the result needs anyway, is the only exact
+    number kept; it is formed again only once another prime is chosen.
     """
 
     def __init__(
@@ -285,59 +217,8 @@ class _RunningBeta:
     ) -> None:
         self.primes = primes
         self.prime_cap = prime_cap
-        self._exact = (1, 1)
-        self._exact_upto = 0
-        self._brackets: tuple[_Bracket, _Bracket] | None = None
-        self._bracket_upto = 0
         self._beta = Fraction(1)
-        self._beta_upto = -1
-
-    def exact(self) -> tuple[int, int]:
-        """The unreduced numerator and denominator."""
-        pending = self.primes[self._exact_upto :]
-        if pending:
-            num, den = self._exact
-            num *= _prod([p + 1 for p in pending])
-            den *= _prod([p + 2 for p in pending])
-            self._exact = (num, den)
-            self._exact_upto = len(self.primes)
-        return self._exact
-
-    def _bracketed(self) -> tuple[_Bracket, _Bracket] | None:
-        """The brackets of numerator and denominator, brought up to date,
-        or None below the route size."""
-        if len(self.primes) < _EXPONENT_ROUTE_MIN:
-            return None
-        if self._brackets is None:
-            self._brackets = (_Bracket([]), _Bracket([]))
-        pending = self.primes[self._bracket_upto :]
-        num, den = self._brackets
-        num.extend([p + 1 for p in pending])
-        den.extend([p + 2 for p in pending])
-        self._bracket_upto = len(self.primes)
-        return self._brackets
-
-    def sign(self, c: int, d: int) -> int:
-        """The sign of num*c - den*d, exactly."""
-        brackets = self._bracketed()
-        if brackets is not None:
-            num, den = brackets
-            sign = num.sign(c, den, d)
-            if sign is not None:
-                return sign
-        num, den = self.exact()
-        left, right = num * c, den * d
-        return (left > right) - (left < right)
-
-    def logs(self) -> tuple[float, float]:
-        """math.log of the numerator and of the denominator."""
-        brackets = self._bracketed()
-        if brackets is not None:
-            num, den = brackets[0].log(), brackets[1].log()
-            if num is not None and den is not None:
-                return num, den
-        num, den = self.exact()
-        return math.log(num), math.log(den)
+        self._beta_upto = 0
 
     def beta(self) -> Fraction:
         """The exact reduced product, kept until another prime is chosen."""
@@ -345,9 +226,22 @@ class _RunningBeta:
             if len(self.primes) >= _EXPONENT_ROUTE_MIN:
                 self._beta = _exponent_beta(self.primes, self.prime_cap)
             else:
-                self._beta = Fraction(*self.exact())
+                self._beta = selection_beta(self.primes)
             self._beta_upto = len(self.primes)
         return self._beta
+
+    def sign(self, c: int, d: int) -> int:
+        """The sign of num*c - den*d, exactly.  The unreduced numerator and
+        denominator are the reduced ones times the same positive factor, so
+        the reduced pair gives the same sign."""
+        beta = self.beta()
+        left, right = beta.numerator * c, beta.denominator * d
+        return (left > right) - (left < right)
+
+    def logs(self) -> tuple[float, float]:
+        """math.log of the reduced numerator and of the reduced denominator."""
+        beta = self.beta()
+        return math.log(beta.numerator), math.log(beta.denominator)
 
 
 @functools.lru_cache(maxsize=4)

@@ -23,8 +23,8 @@ tests, keeping the lexicographically least table of each class.  Each
 table's generating sequence is built once, for its fingerprint, and a
 bucket's representatives keep theirs, so a comparison is one
 signature-restricted ``iso._search``.  The search is serial: it is pure
-Python under the GIL and measured no faster on a thread pool, so
-``workers`` arguments are accepted and ignored.
+Python under the GIL and measured no faster on a thread pool, so the
+``workers`` argument of ``enumerate_groups`` is accepted and ignored.
 
 A second, independent reference path (`enumerate_groups_reference`)
 iterates over identity-fixed Latin squares in row-major order with
@@ -414,12 +414,8 @@ def all_groups_upto(
     max_order: int,
     *,
     enum_cap: int = DEFAULT_ENUM_CAP,
-    workers: int = 1,
 ) -> dict[int, EnumerationResult]:
-    """Enumeration results for every order 1..max_order (memoized).
-
-    ``workers`` is accepted for compatibility; ignored, the search is serial.
-    """
+    """Enumeration results for every order 1..max_order (memoized)."""
     _check_order(max_order, enum_cap)
     results = {}
     for m in range(1, max_order + 1):

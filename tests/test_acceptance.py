@@ -59,7 +59,7 @@ def test_criterion_1_dihedral_beta_formula():
 def test_criterion_2_classification_at_desk_scale():
     _cold_enumeration_cache()
     start = time.monotonic()
-    reports = verify_theorem1(12, workers=1)
+    reports = verify_theorem1(12)
     elapsed = time.monotonic() - start
     sizes = [len(r.witnesses) for r in reports]
     ok = all(r.ok for r in reports) and sizes == [4, 8, 6] and elapsed < 60.0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import time
@@ -173,6 +174,55 @@ def test_approx_beta_machine_prints_a_huge_exact_beta(capsys):
     assert len(record["primes"]) == 67894
     assert record["beta_num"] == beta.numerator
     assert record["beta_den"] == beta.denominator
+
+
+EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+
+# SHA-256 of stdout and stderr and the exit code of `--format machine
+# approx-beta ...`: however the greedy computes its exact checks, its
+# output must not move.  16/25 is an exact tie, 0.161 takes 2,149 primes,
+# 0.1161 67,894, and 0.0997 lies below the floor of the default prime cap.
+@pytest.mark.parametrize(
+    "args, stdout, stderr, code",
+    [
+        (
+            ["0.5", "--eps", "0.001"],
+            "cf3b46791e8b03295efe83a64a39814887925bcf3b14088a53daf88c65735f60",
+            EMPTY_SHA256,
+            0,
+        ),
+        (
+            ["16/25", "--eps", "0.0001"],
+            "af06b85f9f43ed0d4b8c0d6bc000eb5d5fe2e4ca2def886062cd318640b54067",
+            EMPTY_SHA256,
+            0,
+        ),
+        (
+            ["0.161", "--eps", "0.0001"],
+            "a705427b811224b828193bbed3c17770c6969f77e8a16881f95c3acd622e6308",
+            EMPTY_SHA256,
+            0,
+        ),
+        (
+            ["0.1161", "--eps", "0.0001"],
+            "c1c7d56230f8667456c977730a865a290df1a8d599fcfc8b2e547969925f86bf",
+            EMPTY_SHA256,
+            0,
+        ),
+        (
+            ["0.0997", "--eps", "0.0001"],
+            EMPTY_SHA256,
+            "83de7a8d9463908e3d8f6590c98f9c07d6c16a939009f99400a8c0191851ae5e",
+            3,
+        ),
+    ],
+)
+def test_approx_beta_machine_output_is_pinned(capsys, args, stdout, stderr, code):
+    assert run(["--format", "machine", "approx-beta", *args]) == code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == stdout
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == stderr
 
 
 def test_approx_beta_materialize_too_large(capsys):

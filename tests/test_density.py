@@ -261,28 +261,16 @@ def test_prime_cap_ceiling_is_checked_before_any_work():
     assert peak < 2**20
 
 
-def test_running_product_logs_are_math_log_bit_for_bit(monkeypatch):
+def test_running_product_logs_are_math_log_bit_for_bit():
     primes = list(iter_odd_primes(2 * 10**5))
-    # Below the route size the logs come from the exact products, from it
-    # on from the brackets; the integer tie and round-apart cases are
-    # _Bracket.log's.
     cut = density._EXPONENT_ROUTE_MIN
-    sizes = [0, 1, 30, 140, cut - 1, cut, len(primes)]
-
-    def check():
-        running = density._RunningBeta([])
-        for n in sizes:
-            running.primes.extend(primes[len(running.primes) : n])
-            num = density._prod([p + 1 for p in primes[:n]])
-            den = density._prod([p + 2 for p in primes[:n]])
-            exact = (math.log(num), math.log(den))
-            assert running.logs() == exact
-            assert density._RunningBeta(tuple(primes[:n])).logs() == exact
-
-    check()
-    # Brackets that cannot decide fall back to the exact products.
-    monkeypatch.setattr(density._Bracket, "log", lambda self: None)
-    check()
+    running = density._RunningBeta([])
+    for n in (0, 1, 30, 140, cut - 1, cut, len(primes)):
+        running.primes.extend(primes[len(running.primes) : n])
+        for product in (running, density._RunningBeta(tuple(primes[:n]))):
+            beta = product.beta()
+            logs = (math.log(beta.numerator), math.log(beta.denominator))
+            assert product.logs() == logs
 
 
 def test_running_product_beta_is_kept_until_a_prime_is_chosen():
@@ -295,93 +283,52 @@ def test_running_product_beta_is_kept_until_a_prime_is_chosen():
         assert running.beta() is beta
 
 
-def test_bracket_sign_and_log_match_exact_integers():
+def test_running_product_sign_is_the_unreduced_cross_multiplication():
+    # The reduced beta decides num*c - den*d for the unreduced products,
+    # on either side of the route size and on ties as close as they come.
     primes = list(iter_odd_primes(2 * 10**5))
-    Bracket = density._Bracket
-
-    def exact_sign(n, c, d_value, d):
-        return (n * c > d_value * d) - (n * c < d_value * d)
-
-    empty = Bracket([])
-    assert (empty.lo, empty.hi, empty.shift, empty.log()) == (1, 1, 0, 0.0)
-    assert empty.sign(3, Bracket([3]), 1) == 0  # exact brackets settle ties
-
-    small = [p + 1 for p in primes[:30]]  # fits a float
-    bracket = Bracket(small)
-    assert bracket.shift == 0 and bracket.lo == bracket.hi == density._prod(small)
-    assert bracket.log() == math.log(bracket.lo)
-
-    num_values = [p + 1 for p in primes[:5000]]
-    den_values = [p + 2 for p in primes[:5000]]
-    num, den = Bracket(num_values), Bracket(den_values)
-    n, d = density._prod(num_values), density._prod(den_values)
-    for bracket, value in ((num, n), (den, d)):
-        assert bracket.shift > 0 and bracket.lo.bit_length() == density._KEPT_BITS
-        assert bracket.lo << bracket.shift <= value <= bracket.hi << bracket.shift
-        assert bracket.log() == math.log(value)
-    # Far apart, the truncated brackets decide; an exact tie and a gap of
-    # one part in d they cannot.
-    for c, e in ((1, 1), (2, 1), (1, 2), (7, 3), (3, 7)):
-        assert num.sign(c, den, e) == exact_sign(n, c, d, e)
-        assert den.sign(e, num, c) == exact_sign(d, e, n, c)
-    assert num.sign(d, den, n) is None
-    assert num.sign(d + 1, den, n) is None
-
-    # A rounding tie kept exactly, and a product whose ends round apart.
-    tie = Bracket([2**2000 + 2**1947])
-    assert tie.lo == tie.hi and tie.log() == math.log(2**2000 + 2**1947)
-    assert Bracket([2**2000 + 2**1947 + 1]).log() is None
+    cut = density._EXPONENT_ROUTE_MIN
+    assert len(primes) == 17983
+    running = density._RunningBeta([])
+    for n in (0, 1, 30, cut - 1, cut, len(primes)):
+        running.primes.extend(primes[len(running.primes) : n])
+        num = density._prod([p + 1 for p in primes[:n]])
+        den = density._prod([p + 2 for p in primes[:n]])
+        pairs = [(1, 1), (2, 1), (1, 2), (7, 3), (3, 7)]
+        # An exact tie, and gaps of one part in d on either side of it.
+        pairs += [(den, num), (den + 1, num), (den - 1, num), (den, num + 1)]
+        for product in (running, density._RunningBeta(tuple(primes[:n]))):
+            for c, d in pairs:
+                left, right = num * c, den * d
+                assert product.sign(c, d) == (left > right) - (left < right), (n, c, d)
 
 
-def _spy_exact_products(monkeypatch) -> list[int]:
-    """Record how many primes each exact running product spans."""
-    sizes = []
-    exact = density._RunningBeta.exact
-
-    def spy(self):
-        sizes.append(len(self.primes))
-        return exact(self)
-
-    monkeypatch.setattr(density._RunningBeta, "exact", spy)
-    return sizes
-
-
-def test_brackets_decide_near_floor_targets_like_the_exact_products(monkeypatch):
-    # Targets just above the floor converge after 27k-68k primes.
+def test_near_floor_targets_reduce_their_selection_once(monkeypatch):
+    # Targets just above the floor converge after 27k-68k primes; every
+    # exact check they make reads the one reduction their result needs.
     eps = Fraction(1, 10**4)
-    targets = [Fraction(n, 10**4) for n in (1161, 1185, 1254)]
+    sizes = []
+    exponent_beta = density._exponent_beta
 
-    def fields(selection):
-        return (
-            selection.primes,
-            selection.predicted_beta,
-            repr(selection.log_residual),
-            selection.primes_scanned,
-        )
+    def spy(primes, prime_cap):
+        sizes.append(len(primes))
+        return exponent_beta(primes, prime_cap)
 
-    sizes = _spy_exact_products(monkeypatch)
-    bracketed = []
-    for target in targets:
-        bracketed.append(fields(approximate_beta(target, eps)))
-        assert max(sizes) < density._EXPONENT_ROUTE_MIN
+    monkeypatch.setattr(density, "_exponent_beta", spy)
+    selected = []
+    for n in (1161, 1185, 1254):
+        selected.append(len(approximate_beta(Fraction(n, 10**4), eps).primes))
+        assert sizes == selected[-1:]
         sizes.clear()
-    assert len(bracketed[0][0]) == 67894
-
-    # Brackets off: every exact decision multiplies out the running product.
-    monkeypatch.setattr(density._RunningBeta, "_bracketed", lambda self: None)
-    assert [fields(approximate_beta(t, eps)) for t in targets] == bracketed
-    assert max(sizes) >= 67893
+    assert selected[0] == 67894
 
 
-def test_exact_tie_past_the_route_size_forms_the_exact_product(monkeypatch):
-    # Including the 6,000th prime lands exactly on the target: a tie the
-    # truncated brackets cannot settle.
+def test_exact_tie_past_the_route_size_forms_the_exact_product():
+    # Including the 6,000th prime lands exactly on the target.
     primes = odd_primes(6000)
-    sizes = _spy_exact_products(monkeypatch)
     sel = approximate_beta(selection_beta(primes), Fraction(1, 10**30))
     assert sel.primes == tuple(primes)
     assert sel.predicted_beta == selection_beta(primes)
-    assert [n for n in sizes if n >= density._EXPONENT_ROUTE_MIN] == [5999]
 
 
 def test_materialize_small_and_too_large():

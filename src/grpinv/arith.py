@@ -3,9 +3,10 @@
 Every beta-valued quantity in this package is carried by
 ``fractions.Fraction``, which already guarantees reduced form, a positive
 denominator, and structural equality of reduced forms.  This module adds
-the integer-side utilities the group engine needs: totient, divisor
-count, an odd-prime stream with a hard cap, square roots of unity in the
-unit group mod n, and a strict decimal-to-rational parser.
+the integer-side utilities the group engine needs: a trial-division
+factorisation, with the totient and divisor count built on it, an
+odd-prime stream with a hard cap, square roots of unity in the unit
+group mod n, and a strict decimal-to-rational parser.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import functools
 import re
 import sys
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -28,6 +29,7 @@ MAX_PRIME_CAP = 10**7
 __all__ = [
     "DEFAULT_PRIME_CAP",
     "MAX_PRIME_CAP",
+    "factorize",
     "euler_phi",
     "tau",
     "odd_primes",
@@ -39,21 +41,34 @@ __all__ = [
 ]
 
 
+def factorize(n: int) -> list[tuple[int, int]]:
+    """The prime factorisation of n as ascending (p, a) pairs, p**a || n;
+    empty for n = 1."""
+    if n < 1:
+        raise DomainError(f"factorize is defined for n >= 1, got {n}")
+    factors = []
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            a = 0
+            while m % p == 0:
+                m //= p
+                a += 1
+            factors.append((p, a))
+        p += 1 if p == 2 else 2
+    if m > 1:
+        factors.append((m, 1))
+    return factors
+
+
 def euler_phi(n: int) -> int:
     """Count the integers in [1, n] coprime to n."""
     if n < 1:
         raise DomainError(f"euler_phi is defined for n >= 1, got {n}")
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result -= result // m
+    for p, _ in factorize(n):
+        result -= result // p
     return result
 
 
@@ -61,20 +76,7 @@ def tau(n: int) -> int:
     """Count the positive divisors of n."""
     if n < 1:
         raise DomainError(f"tau is defined for n >= 1, got {n}")
-    count = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            count *= e + 1
-        p += 1 if p == 2 else 2
-    if m > 1:
-        count *= 2
-    return count
+    return prod(a + 1 for _, a in factorize(n))
 
 
 @functools.lru_cache(maxsize=8)

@@ -343,11 +343,18 @@ def approximate_beta(
 
     # Below the floor: the full product F exceeds t + eps, so does every
     # prefix product, and the greedy would take every prime without ever
-    # landing within eps.  The float test (residual - stop_bar is
-    # ln(1/(t + eps))) can only rule that out; the exact sign decides.
-    if residual - stop_bar > _log_floor(prime_cap) - _MARGIN:
+    # landing within eps.  That holds exactly when the gap
+    # ln(1/(t + eps)) - ln(1/F) is positive; residual - stop_bar is the
+    # first term and _log_floor the second.  The float gap is off by at
+    # most _log_floor's _MARGIN plus the rounding of residual - stop_bar,
+    # a few ulps of ln(td), ln(tn) and stop_bar: under _MARGIN until
+    # ln(td) nears 10**5, and scaled past that.  Beyond that bound the
+    # float gap certifies the refusal; inside it the exact sign decides.
+    gap = residual - stop_bar - _log_floor(prime_cap)
+    if gap > -_MARGIN:
         full = _every_odd_prime_product(prime_cap)
-        if full.sign(close_c, close_d) > 0:
+        bound = 2 * _MARGIN + 1e-15 * (2 * math.log(td) + stop_bar)
+        if gap > bound or full.sign(close_c, close_d) > 0:
             raise exhausted(build(full, len(full.primes)))
 
     scanned = 0

@@ -15,23 +15,30 @@ The invariants of interest are
 All of them follow from the element orders alone: with n_d elements of
 order d, ``i = n_1 + n_2`` and, since a cyclic subgroup of order d has
 phi(d) generators, ``c = sum_d n_d / phi(d)``.  The order vector is the
-one thing scanned and cached per group: involutions come off the
-diagonal, and each power walk from an element of still unknown order k
-yields the order ``k / gcd(j, k)`` of its j-th power.  Cyclic subgroups
-themselves are built only on request.
+one thing scanned and cached per group, by a few length-n gathers per
+prime p dividing n = |G| and no loop over elements.  Let P_p(x) = x^p:
+P_2 is the diagonal, and for odd p the map comes from binary powering,
+where a squaring is a gather through the diagonal and a multiply one
+gather from the table.  With p^a || n, the image of P_p^a is the set S_p
+of elements whose order is prime to p.  If p does not divide ord(x),
+raising to p^a permutes <x>, so x is a (p^a)-th power.  Conversely, if
+x = y^(p^a) with ord(y) = p^b m and p not dividing m, then b <= a because
+ord(y) divides n, so x^m = e and ord(x) divides m.  The power x^(p^k) has
+order ord(x) / gcd(ord(x), p^k), which lies in S_p exactly when p^k is at
+least the p-part of ord(x).  So the number e_p(x) of P_p steps from x into
+S_p is the exponent of p in ord(x), and ``ord(x) = prod_p p^e_p(x)``.
+Cyclic subgroups themselves are built only on request.
 """
 
 from __future__ import annotations
 
 import weakref
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
-from .arith import euler_phi, is_unit_involution
+from .arith import euler_phi, factorize, is_unit_involution
 from .errors import (
     DomainError,
     InvariantViolationError,
@@ -356,7 +363,7 @@ def semidirect_zn_z2(
 # ---------------------------------------------------------------------------
 # Invariants
 
-_ORDERS_CACHE: "weakref.WeakKeyDictionary[FiniteGroup, tuple[int, ...]]" = (
+_ORDERS_CACHE: "weakref.WeakKeyDictionary[FiniteGroup, np.ndarray]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -372,32 +379,56 @@ def _powers(G: FiniteGroup, x: int) -> list[int]:
     return powers
 
 
-def element_orders(G: FiniteGroup) -> tuple[int, ...]:
-    """The order of every element, by index; memoized per group."""
+def _power_map(G: FiniteGroup, square: np.ndarray, p: int) -> np.ndarray:
+    """x -> x^p for every x at once, for odd p, by binary powering."""
+    n = G.order
+    cells = G.table.reshape(-1)
+    result = base = np.arange(n)
+    p >>= 1
+    while p:
+        base = square[base]
+        if p & 1:
+            result = cells[result * n + base].astype(np.intp)
+        p >>= 1
+    return result
+
+
+def _orders(G: FiniteGroup) -> np.ndarray:
+    """The read-only order array behind ``element_orders``; memoized per
+    group.  See the module docstring for the method and its proof."""
     cached = _ORDERS_CACHE.get(G)
     if cached is not None:
         return cached
-    # Involutions are read off the diagonal in one pass; a walk through
-    # one would assign it k // gcd(j, k) = 2 all the same.
-    orders = np.where(np.diagonal(G.table) == 0, 2, 0).tolist()
-    orders[0] = 1
-    for x in range(1, G.order):
-        if orders[x]:
-            continue
-        powers = _powers(G, x)
-        k = len(powers)
-        for j in range(1, k):
-            orders[powers[j]] = k // gcd(j, k)
-    result = tuple(orders)
-    _ORDERS_CACHE[G] = result
-    return result
+    n = G.order
+    square = np.diagonal(G.table).astype(np.intp)
+    orders = np.ones(n, dtype=np.intp)
+    for p, a in factorize(n):
+        step = square if p == 2 else _power_map(G, square, p)
+        # chain[k] maps x to x^(p^(k+1)); the last one's image is S_p.
+        chain = [step]
+        for _ in range(a - 1):
+            chain.append(step[chain[-1]])
+        coprime = np.zeros(n, dtype=bool)
+        coprime[chain[-1]] = True
+        exponent = (~coprime).astype(np.intp)
+        for powers in chain[:-1]:
+            exponent += ~coprime[powers]
+        orders *= (p ** np.arange(a + 1))[exponent]
+    orders.setflags(write=False)
+    _ORDERS_CACHE[G] = orders
+    return orders
+
+
+def element_orders(G: FiniteGroup) -> tuple[int, ...]:
+    """The order of every element, by index, as Python ints."""
+    return tuple(_orders(G).tolist())
 
 
 def element_order(G: FiniteGroup, x: int) -> int:
     """Least k >= 1 with x^k = identity."""
     if not 0 <= x < G.order:
         raise DomainError(f"element index {x} out of range for order {G.order}")
-    return element_orders(G)[x]
+    return int(_orders(G)[x])
 
 
 def involution_count(G: FiniteGroup) -> int:
@@ -427,8 +458,10 @@ def cyclic_subgroups(G: FiniteGroup) -> CyclicSubgroupSet:
 
 def invariants(G: FiniteGroup) -> GroupInvariants:
     """Counted order, i, c, r, beta, and the element-order histogram."""
-    histogram = Counter(element_orders(G))
-    i = histogram[1] + histogram[2]
+    counts = np.bincount(_orders(G))
+    present = np.flatnonzero(counts)
+    histogram = dict(zip(present.tolist(), counts[present].tolist()))
+    i = histogram[1] + histogram.get(2, 0)
     # A cyclic subgroup of order d has phi(d) generators of order d.
     c = sum(count // euler_phi(d) for d, count in histogram.items())
     if i > c:
@@ -439,7 +472,7 @@ def invariants(G: FiniteGroup) -> GroupInvariants:
         c=c,
         r=c - i,
         beta=Fraction(i, c),
-        order_histogram=dict(sorted(histogram.items())),
+        order_histogram=histogram,
     )
 
 

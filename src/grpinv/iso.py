@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, element_orders, invariants
+from .groups import TABLE_DTYPE, FiniteGroup, _orders, invariants
 
 #: Table cells compared per block by ``is_homomorphic_bijection``.
 _CHECK_BLOCK = 1 << 18
@@ -127,14 +127,18 @@ def is_homomorphic_bijection(G: FiniteGroup, H: FiniteGroup, bijection) -> bool:
     """Check bijectivity plus f(ab) = f(a)f(b) over all pairs, streaming
     over blocks of rows so that memory stays O(n * block)."""
     m = np.asarray(bijection, dtype=np.int64)
-    if m.shape != (G.order,) or len(set(m.tolist())) != G.order:
+    if H.order != G.order or m.shape != (G.order,) or m[0] != 0:
         return False
-    if H.order != G.order or m[0] != 0:
+    if not np.array_equal(np.sort(m), np.arange(G.order)):
         return False
+    # A permutation of the indices, so the cast to the cell type cannot wrap.
+    m = m.astype(TABLE_DTYPE)
     step = max(1, _CHECK_BLOCK // G.order)
     for start in range(0, G.order, step):
         block = slice(start, start + step)
-        if not np.array_equal(m[G.table[block]], H.table[m[block, None], m]):
+        if not np.array_equal(
+            m[G.table[block]], np.take(H.table[m[block]], m, axis=1)
+        ):
             return False
     return True
 
@@ -150,7 +154,7 @@ def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> IsoWitness | None:
 def _signatures(G: FiniteGroup) -> np.ndarray:
     """One key per element for its (order, number of square roots), O(n)."""
     roots = np.bincount(np.diagonal(G.table), minlength=G.order)
-    return np.asarray(element_orders(G)) * (G.order + 1) + roots
+    return _orders(G) * (G.order + 1) + roots
 
 
 def _search(G: FiniteGroup, sequence, H: FiniteGroup) -> IsoWitness | None:

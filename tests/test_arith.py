@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from grpinv.arith import (
+    _primes_upto,
     euler_phi,
+    factorize,
     is_unit_involution,
     iter_odd_primes,
     odd_primes,
@@ -42,6 +44,25 @@ def test_tau_brute_force_small():
 def test_domain_errors(func):
     with pytest.raises(DomainError):
         func(0)
+
+
+def test_factorize_rebuilds_every_n_up_to_5000():
+    primes = set(_primes_upto(5000))
+    assert factorize(1) == []
+    for n in range(1, 5001):
+        factors = factorize(n)
+        assert [p for p, _ in factors] == sorted({p for p, _ in factors}), n
+        assert all(p in primes and a >= 1 for p, a in factors), n
+        product = 1
+        for p, a in factors:
+            product *= p**a
+        assert product == n
+    assert factorize(4096) == [(2, 12)]
+    assert factorize(4093) == [(4093, 1)]
+    assert factorize(4092) == [(2, 2), (3, 1), (11, 1), (31, 1)]
+    for n in (0, -4):
+        with pytest.raises(DomainError):
+            factorize(n)
 
 
 @given(

@@ -146,6 +146,13 @@ def test_verify_lemmas_default_caps(capsys):
     assert out.count("[L3.1a]") == 128
     assert out.count("[L4.1]") == 100
     assert "counterexample" not in out
+    # The full machine report at default caps, byte for byte.
+    assert run(["--format", "machine", "verify", "lemmas"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 673
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "307123c866fbbf550d115ff0a6b33531d719f1bcf1ab7503f9688c35740c53d9"
+    )
 
 
 def test_approx_beta_machine(capsys):

@@ -323,6 +323,38 @@ def test_near_floor_targets_reduce_their_selection_once(monkeypatch):
     assert selected[0] == 67894
 
 
+def test_far_below_floor_refusals_skip_the_exact_sign(monkeypatch):
+    # Past the float gap's error bound the refusal needs no multiply of
+    # the full product; within it the exact sign still decides.
+    cap, eps = 1000, Fraction(1, 10**4)
+    full = density._every_odd_prime_product(cap)
+    floor = full.beta()
+    signed = []
+    sign = density._RunningBeta.sign
+
+    def spy(self, c, d):
+        signed.append(self is full)
+        return sign(self, c, d)
+
+    monkeypatch.setattr(density._RunningBeta, "sign", spy)
+    # t + eps is the floor itself: a gap of 0, not refused.
+    sel = approximate_beta(floor - eps, eps, prime_cap=cap)
+    assert any(signed) and sel.primes == tuple(full.primes)
+    # t + eps a part in 10**12 under the floor: refused by the sign.
+    signed.clear()
+    with pytest.raises(ConvergenceError) as near:
+        approximate_beta(floor * (1 - Fraction(1, 10**12)) - eps, eps, prime_cap=cap)
+    assert any(signed)
+    assert near.value.best.predicted_beta == floor
+    # Far below the floor: refused from the float gap alone.
+    signed.clear()
+    with pytest.raises(ConvergenceError) as far:
+        approximate_beta(Fraction(1, 100), eps, prime_cap=cap)
+    assert not any(signed)
+    assert far.value.best.primes == tuple(full.primes)
+    assert far.value.best.predicted_beta == floor
+
+
 def test_exact_tie_past_the_route_size_forms_the_exact_product():
     # Including the 6,000th prime lands exactly on the target.
     primes = odd_primes(6000)

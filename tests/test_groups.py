@@ -1,12 +1,13 @@
 import tracemalloc
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 import pytest
 
 from grpinv.arith import tau, unit_involutions
 from grpinv.catalog import builtin_catalog
-from grpinv.enumeration import enumerate_groups
+from grpinv.enumeration import all_groups_upto, enumerate_groups
 from grpinv.errors import (
     DomainError,
     NoIdentityError,
@@ -21,6 +22,7 @@ from grpinv.groups import (
     _check_cap,
     _circulant,
     _freeze,
+    _orders,
     cyclic_subgroups,
     dihedral_product,
     direct_product,
@@ -508,3 +510,67 @@ def test_element_orders_with_involutions_seeded_match_power_walks():
     groups += [dihedral_product((3, 5, 7)), dihedral_product((3, 337))]
     for G in groups:
         assert element_orders(G) == _orders_by_power_walk(G), G
+
+
+def _large_cyclic_type_groups():
+    """(group, closed-form orders) pairs near the table cap."""
+    cases = []
+    for n in (2048, 2187, 4093):
+        cases.append((make_cyclic(n), [n // gcd(x, n) for x in range(n)]))
+    # (a, b) sits at index 1364a + b and has order lcm(|a|, |b|).
+    cases.append((
+        direct_product(make_cyclic(3), make_cyclic(1364)),
+        [lcm(3 // gcd(x // 1364, 3), 1364 // gcd(x % 1364, 1364)) for x in range(4092)],
+    ))
+    # Dic4092: a^i (index i < 2046) has order 2046 / gcd(i, 2046), a^i b order 4.
+    cases.append((
+        make_dicyclic(4092),
+        [2046 // gcd(x, 2046) for x in range(2046)] + [4] * 2046,
+    ))
+    return cases
+
+
+def test_prime_power_maps_give_the_power_walk_orders():
+    groups = [G for result in all_groups_upto(16).values() for G in result.groups]
+    groups += [make_elementary_abelian_2(12), dihedral_product((3, 5, 7))]
+    pairs = ((8, 3), (8, 5), (15, 4), (16, 7), (63, 55))
+    groups += [semidirect_zn_z2(n, u) for n, u in pairs]
+    for G in groups:
+        orders = element_orders(G)
+        assert orders == _orders_by_power_walk(G), G
+        assert all(type(k) is int for k in orders), G
+        assert element_order(G, G.order - 1) == orders[-1]
+    # The walks are quadratic in n on these; --runslow walks them too.
+    for G, expected in _large_cyclic_type_groups():
+        orders = element_orders(G)
+        assert orders == tuple(expected), G
+        assert all(type(k) is int for k in orders), G
+
+
+@pytest.mark.slow
+def test_prime_power_maps_give_the_power_walk_orders_near_the_cap():
+    for G, _ in _large_cyclic_type_groups():
+        assert element_orders(G) == _orders_by_power_walk(G), G
+
+
+def test_order_array_is_cached_read_only_and_feeds_the_histogram():
+    G = dihedral_product((3, 5))
+    orders = _orders(G)
+    assert _orders(G) is orders and not orders.flags.writeable
+    histogram = invariants(G).order_histogram
+    assert list(histogram) == sorted(histogram)
+    assert all(type(d) is int and type(k) is int for d, k in histogram.items())
+    assert histogram == {d: orders.tolist().count(d) for d in set(orders.tolist())}
+
+
+def test_order_scan_has_no_square_temporary():
+    G = make_cyclic(4093)
+    tracemalloc.start()
+    try:
+        element_orders(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A few length-n index arrays and the tuple; one n x n int16 array
+    # would be 33 MB.
+    assert peak < 200 * G.order

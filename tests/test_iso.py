@@ -62,6 +62,24 @@ def test_identity_witness():
     assert is_homomorphic_bijection(G, G, w.bijection)
 
 
+def test_homomorphism_certificate_over_several_blocks():
+    n = 1024  # four row blocks of the streamed check
+    G = make_cyclic(n)
+    triple = [3 * x % n for x in range(n)]
+    assert is_homomorphic_bijection(G, G, triple)
+    swapped = triple[:]
+    swapped[n - 2], swapped[n - 1] = swapped[n - 1], swapped[n - 2]
+    assert not is_homomorphic_bijection(G, G, swapped)
+    identity = list(range(n))
+    assert not is_homomorphic_bijection(G, G, identity[:-1])
+    assert not is_homomorphic_bijection(G, G, identity[:-1] + [0])
+    assert not is_homomorphic_bijection(G, G, [1, 0] + identity[2:])
+    assert not is_homomorphic_bijection(G, make_cyclic(n // 2), identity)
+    # Distinct values outside 0..n-1 are rejected, not an IndexError.
+    assert not is_homomorphic_bijection(G, G, identity[:-1] + [-1])
+    assert not is_homomorphic_bijection(G, G, identity[:-1] + [n])
+
+
 def test_semidirect_vs_dihedral_witness():
     w = are_isomorphic(semidirect_zn_z2(9, 8), make_dihedral(18))
     assert w is not None

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import euler_phi, iter_odd_primes, tau, unit_involutions
+from .arith import euler_phi, factorize, iter_odd_primes, tau, unit_involutions
 from .catalog import catalog_group, generalized_dihedral
 from .density import selection_beta
 from .enumeration import DEFAULT_ENUM_CAP, all_groups_upto
@@ -48,9 +48,10 @@ from .errors import DomainError, ResourceLimitError
 from .groups import (
     DEFAULT_TABLE_CAP,
     FiniteGroup,
-    cyclic_subgroups,
+    _powers,
     dihedral_product,
     direct_product,
+    element_orders,
     invariants,
     is_elementary_abelian_2,
     is_normal_subgroup,
@@ -355,19 +356,8 @@ def verify_c_order_deficit(
 
 
 def _is_odd_prime_power_or_twice(n: int) -> bool:
-    m = n
-    if m % 2 == 0:
-        m //= 2
-    if m % 2 == 0 or m == 1:
-        return False
-    p = 3
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            return m == 1
-        p += 2
-    return True  # m itself is an odd prime
+    factors = factorize(n // 2 if n % 4 == 2 else n)
+    return len(factors) == 1 and factors[0][0] > 2
 
 
 def verify_semidirect_dichotomy(
@@ -477,13 +467,6 @@ def check_lemma42(
     for p in primes:
         if p < 3 or p % 2 == 0 or euler_phi(p) != p - 1:
             raise DomainError(f"{p} is not an odd prime")
-    order = 1
-    for p in primes:
-        order *= 2 * p
-    if order > table_cap:
-        raise ResourceLimitError(
-            f"product order {order} exceeds the table cap {table_cap}"
-        )
     product = dihedral_product(primes, table_cap=table_cap)
     expected = selection_beta(primes)
     counted = invariants(product).beta
@@ -525,21 +508,22 @@ def check_unique_cyclic_normality(
     checked = 0
     for m in range(1, max_order + 1):
         for G in by_order[m].groups:
-            subs = cyclic_subgroups(G).subgroups
-            by_size: dict[int, list] = {}
-            for s in subs:
-                by_size.setdefault(len(s), []).append(s)
-            for size, group_list in by_size.items():
-                if len(group_list) == 1:
-                    checked += 1
-                    if not is_normal_subgroup(G, group_list[0]):
-                        return _refuted(
-                            "L2.1",
-                            scope,
-                            G,
-                            f"unique cyclic subgroup of order {size} "
-                            f"{group_list[0]} is not normal",
-                        )
+            orders = element_orders(G)
+            # A cyclic subgroup of order d has phi(d) generators, so it is
+            # the only one of its order iff there are phi(d) elements of
+            # order d; it is the powers of any one of them.
+            for d, count in sorted(invariants(G).order_histogram.items()):
+                if count != euler_phi(d):
+                    continue
+                checked += 1
+                members = tuple(sorted(_powers(G, orders.index(d))))
+                if not is_normal_subgroup(G, members):
+                    return _refuted(
+                        "L2.1",
+                        scope,
+                        G,
+                        f"unique cyclic subgroup of order {d} {members} is not normal",
+                    )
     return VerificationReport(
         claim="L2.1",
         scope=f"{scope} ({checked} unique cyclic subgroups checked)",
@@ -564,8 +548,9 @@ def order12_case_f_report(*, enum_cap: int = DEFAULT_ENUM_CAP) -> VerificationRe
     G = r2[0]
     if are_isomorphic(G, make_dihedral(12)) is None:
         return _refuted("T1.1-r2", scope, G, "the r = 2 class at order 12 is not D12")
-    big = [s for s in cyclic_subgroups(G).subgroups if len(s) > 2]
-    if sorted(len(s) for s in big) == [3, 3]:
+    histogram = invariants(G).order_histogram
+    big = {d: count // euler_phi(d) for d, count in histogram.items() if d > 2}
+    if big == {3: 2}:
         return _refuted(
             "T1.1-r2", scope, G, "r = 2 arises from two distinct order-3 cyclic subgroups"
         )

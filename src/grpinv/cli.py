@@ -77,8 +77,6 @@ def _global_flags(defaults: bool) -> argparse.ArgumentParser:
     parent.add_argument(
         "--format", choices=("human", "machine"), default=default("human")
     )
-    # Accepted for compatibility; ignored, the search is serial.
-    parent.add_argument("--threads", type=int, default=default(1))
     return parent
 
 

@@ -26,10 +26,11 @@ signature-restricted ``iso._search``.  The search is serial: it is pure
 Python under the GIL and measured no faster on a thread pool, so the
 ``workers`` argument of ``enumerate_groups`` is accepted and ignored.
 
-A second, independent reference path (`enumerate_groups_reference`)
-iterates over identity-fixed Latin squares in row-major order with
-associativity used only as a filter, then deduplicates; it exists as a
-completeness oracle for small orders.
+The reference path (`enumerate_groups_reference`) is a completeness check
+for small orders, not an independent one: it runs the same
+``_search_tables`` kernel in row-major cell order, without the relabelling
+cut, the staircase (so no Lagrange cut) or derived constraints, but with
+the same Latin bookkeeping, associativity checks and power-chain prune.
 """
 
 from __future__ import annotations
@@ -392,8 +393,9 @@ def enumerate_groups(
 def enumerate_groups_reference(
     n: int, *, enum_cap: int = DEFAULT_ENUM_CAP
 ) -> EnumerationResult:
-    """Independent oracle: row-major Latin-square generation with identity
-    fixed, associativity applied purely as a filter, then iso-dedup."""
+    """The main search kernel over row-major cells with identity fixed, no
+    relabelling cut and associativity only as a filter (the power-chain
+    prune stays on), then iso-dedup; see the module docstring."""
     _check_order(n, enum_cap)
     start = time.monotonic()
     cells = [(a, b) for a in range(1, n) for b in range(1, n)]

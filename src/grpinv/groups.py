@@ -35,6 +35,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
@@ -301,7 +302,10 @@ def direct_product(
 
 def dihedral_product(primes, *, table_cap: int = DEFAULT_TABLE_CAP) -> FiniteGroup:
     """D_2p x D_2q x ... over ``primes`` in the given order, named like
-    "D6xD10"; the empty product is Z1."""
+    "D6xD10"; the empty product is Z1.  The product's order is checked
+    against ``table_cap`` before any factor is built."""
+    primes = list(primes)
+    _check_cap(prod(2 * p for p in primes), table_cap)
     group = None
     for p in primes:
         factor = make_dihedral(2 * p, table_cap=table_cap)
@@ -490,19 +494,17 @@ def is_normal_subgroup(G: FiniteGroup, members) -> bool:
     """True iff the subgroup on ``members`` is invariant under conjugation.
 
     ``members`` must actually be a subgroup (contain the identity and be
-    closed under the table); anything else is a domain error.
+    closed under the table); anything else is a domain error.  Closure is
+    one gather of the |S| x |S| block, and the conjugates g s g^-1 one
+    gather of the table's S columns through each row's inverse, so no
+    temporary is wider than ``TABLE_DTYPE`` over n x |S| cells.
     """
     subgroup = sorted(set(int(x) for x in members))
     if not subgroup or subgroup[0] != 0 or subgroup[-1] >= G.order:
         raise DomainError("not a subgroup: must contain index 0 and stay in range")
-    member_set = frozenset(subgroup)
-    item = G.table.item
-    for a in subgroup:
-        for b in subgroup:
-            if item(a, b) not in member_set:
-                raise DomainError("not a subgroup: set is not closed under the table")
-    for g, g_inv in enumerate(inverses(G).tolist()):
-        for s in subgroup:
-            if item(item(g, s), g_inv) not in member_set:
-                return False
-    return True
+    S = np.array(subgroup)
+    inside = np.zeros(G.order, dtype=bool)
+    inside[S] = True
+    if not inside[G.table[np.ix_(S, S)]].all():
+        raise DomainError("not a subgroup: set is not closed under the table")
+    return bool(inside[G.table[G.table[:, S], inverses(G)[:, None]]].all())

@@ -222,17 +222,16 @@ def _search(G: FiniteGroup, sequence, H: FiniteGroup) -> IsoWitness | None:
         del extend
 
 
-def identify(G: FiniteGroup, catalog=None) -> str | None:
+def identify(G: FiniteGroup) -> str | None:
     """Name of the unique catalog member isomorphic to G, or None.
 
     Groups larger than the catalog bound are still matched against the
     parametric families (cyclic, dihedral, dicyclic, elementary abelian)
     at their own order.
     """
-    if catalog is None:
-        from .catalog import builtin_catalog
+    from .catalog import builtin_catalog
 
-        catalog = builtin_catalog()
+    catalog = builtin_catalog()
     # G's chain and fingerprint serve every candidate.
     sequence = _generating_sequence(G)
     fp = _fingerprint(G, sequence[0])

@@ -226,8 +226,44 @@ def test_lemma42_examples():
 
 
 def test_unique_cyclic_subgroups_are_normal():
+    report = check_unique_cyclic_normality(12)
+    assert report.ok
+    assert report.scope == "all orders <= 12 (57 unique cyclic subgroups checked)"
     report = check_unique_cyclic_normality(16)
     assert report.ok
+    assert report.scope == "all orders <= 16 (92 unique cyclic subgroups checked)"
+
+
+def test_unique_cyclic_counterexample_names_the_sorted_members(monkeypatch):
+    from grpinv import classify
+
+    seen = []
+
+    def reject_order_4(G, members):
+        seen.append(members)
+        return len(members) != 4
+
+    monkeypatch.setattr(classify, "is_normal_subgroup", reject_order_4)
+    report = check_unique_cyclic_normality(8)
+    assert not report.ok
+    members = seen[-1]
+    assert len(members) == 4 and list(members) == sorted(members)
+    assert report.counterexample.description == (
+        f"unique cyclic subgroup of order 4 {members} is not normal"
+    )
+    # The first order-4 class, Z4, has the cyclic subgroups 1, 2 and 4.
+    assert [len(s) for s in seen] == [1, 1, 2, 1, 3, 1, 2, 4]
+    assert len(report.counterexample.table) == 4
+
+
+def test_odd_prime_power_or_twice_matches_its_definition():
+    from grpinv.classify import _is_odd_prime_power_or_twice
+
+    odd_primes = [p for p in range(3, 3001, 2) if all(p % q for q in range(3, p, 2))]
+    powers = {p**k for p in odd_primes for k in range(1, 8) if p**k <= 3000}
+    expected = powers | {2 * q for q in powers}
+    for n in range(1, 3001):
+        assert _is_odd_prime_power_or_twice(n) == (n in expected), n
 
 
 def test_order12_case_f():

@@ -423,9 +423,7 @@ def test_machine_output_is_deterministic(capsys):
     assert first == second
 
 
-def test_threads_flag_same_output(capsys):
-    run(["--format", "machine", "--threads", "2", "enumerate", "12"])
-    multi = capsys.readouterr().out
-    run(["--format", "machine", "enumerate", "12"])
-    single = capsys.readouterr().out
-    assert multi == single
+def test_threads_flag_is_refused(capsys):
+    # The search is serial; the flag that once sized a thread pool is gone.
+    assert run(["--threads", "2", "enumerate", "12"]) == 2
+    assert capsys.readouterr().out == ""

@@ -1,3 +1,5 @@
+import functools
+import time
 import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm
@@ -235,6 +237,20 @@ def test_dihedral_product_matches_chained_direct_products():
         dihedral_product((3, 5), table_cap=59)
 
 
+def test_dihedral_product_refuses_before_building_a_factor(monkeypatch):
+    from grpinv import groups
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a factor was built before the cap check")
+
+    monkeypatch.setattr(groups, "make_dihedral", no_build)
+    # The order-840 prefix D6xD10xD14 fits; the whole product (18,480) does not.
+    with pytest.raises(ResourceLimitError, match="18480"):
+        dihedral_product((3, 5, 7, 11))
+    with pytest.raises(ResourceLimitError, match="60"):
+        dihedral_product(iter((3, 5)), table_cap=59)
+
+
 def test_semidirect_cap_is_checked_first():
     # A unit scan over n would take minutes; the cap must refuse at once.
     with pytest.raises(ResourceLimitError):
@@ -310,6 +326,43 @@ def test_is_normal_subgroup():
         is_normal_subgroup(d6, [1, 2])  # no identity
 
 
+def test_is_normal_subgroup_matches_conjugation_on_every_subgroup():
+    groups = [e.group for e in builtin_catalog() if e.group.order <= 16]
+    checked = normal = 0
+    for G in groups:
+        mult, n = G.mult, G.order
+        inverse = [next(h for h in range(n) if mult(g, h) == 0) for g in range(n)]
+        for S in _all_subgroups(G):
+            # g s g^-1 in S for every g and s, one product at a time.
+            expected = all(
+                mult(mult(g, s), inverse[g]) in S for g in range(n) for s in S
+            )
+            assert is_normal_subgroup(G, S) == expected, (G, sorted(S))
+            checked += 1
+            normal += expected
+    # Both answers occur often enough to catch a check stuck on either.
+    assert normal > 50 and checked - normal > 50, (checked, normal)
+
+
+def test_is_normal_subgroup_index_two_near_the_cap():
+    G = make_dihedral(4092)
+    rotations = range(2046)
+    start = time.perf_counter()
+    assert is_normal_subgroup(G, rotations)
+    assert time.perf_counter() - start < 1.0
+    tracemalloc.start()
+    try:
+        assert is_normal_subgroup(G, rotations)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # An intp array over the n x |S| conjugates alone would be two tables.
+    assert peak <= 1.5 * G.table.nbytes
+    assert not is_normal_subgroup(G, [0, 2046])  # one reflection
+    with pytest.raises(DomainError, match="closed"):
+        is_normal_subgroup(G, range(2047))
+
+
 # --- slow-path oracle: all subgroups by closure, filtered to cyclic ---
 
 
@@ -326,7 +379,9 @@ def _closure(G, seed):
     return frozenset(members)
 
 
+@functools.cache
 def _all_subgroups(G):
+    """Every subgroup of G, memoized per group for the tests that share it."""
     subgroups = {frozenset([0])}
     frontier = {_closure(G, [x]) for x in range(G.order)}
     subgroups |= frontier
@@ -338,7 +393,7 @@ def _all_subgroups(G):
                 if joined not in subgroups:
                     new.add(joined)
         if not new:
-            return subgroups
+            return frozenset(subgroups)
         subgroups |= new
 
 

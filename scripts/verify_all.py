@@ -25,13 +25,14 @@ def main() -> int:
     args = parser.parse_args()
 
     start = time.monotonic()
-    reports = list(verify_theorem1(args.max_order))
-    reports.append(verify_involution_threshold(args.max_order))
+    top = args.max_order
+    reports = list(verify_theorem1(top, enum_cap=top))
+    reports.append(verify_involution_threshold(top, enum_cap=top))
     for r in (1, 2, 4):
-        reports.append(verify_c_order_deficit(r, args.max_order))
+        reports.append(verify_c_order_deficit(r, top, enum_cap=top))
     for n in (3, 5, 9, 25, 27, 49, 6, 10, 18):
         reports.append(verify_semidirect_dichotomy(n))
-    reports.append(check_unique_cyclic_normality(min(args.max_order, 16)))
+    reports.append(check_unique_cyclic_normality(top, enum_cap=top))
     reports.append(order12_case_f_report())
 
     failures = 0

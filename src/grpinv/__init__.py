@@ -40,7 +40,6 @@ from .enumeration import (
     EnumerationResult,
     all_groups_upto,
     enumerate_groups,
-    enumerate_groups_reference,
     known_census,
 )
 from .errors import (

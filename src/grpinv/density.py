@@ -50,7 +50,13 @@ from .errors import (
     InvariantViolationError,
     ResourceLimitError,
 )
-from .groups import DEFAULT_TABLE_CAP, FiniteGroup, dihedral_product, invariants
+from .groups import (
+    DEFAULT_TABLE_CAP,
+    MAX_TABLE_ORDER,
+    FiniteGroup,
+    dihedral_product,
+    invariants,
+)
 
 __all__ = [
     "PrimeSelection",
@@ -393,13 +399,12 @@ def materialize(
     """Build the dihedral product for a selection and recount its beta.
 
     Returns :class:`TooLarge` with the required order when the table
-    would not fit under ``order_cap``.  The counted beta must equal the
-    formula value exactly; a mismatch is an internal invariant violation.
+    would not fit under ``order_cap`` or above ``MAX_TABLE_ORDER``, before
+    anything is built.  The counted beta must equal the formula value
+    exactly; a mismatch is an internal invariant violation.
     """
-    required = 1
-    for p in selection.primes:
-        required *= 2 * p
-    if required > order_cap:
+    required = math.prod(2 * p for p in selection.primes)
+    if required > min(order_cap, MAX_TABLE_ORDER):
         return TooLarge(required_order=required)
     group = dihedral_product(selection.primes, table_cap=order_cap)
     counted = invariants(group).beta

@@ -159,13 +159,14 @@ def _check_cap(order: int, table_cap: int) -> None:
 def verify_axioms(table, name: str | None = None) -> FiniteGroup:
     """Validate an arbitrary square index array as a group table.
 
-    Checks, in order: shape and index range, the Latin-square property,
-    existence of a two-sided identity (relabelled to index 0 if it sits
-    elsewhere), and full associativity.  Each failure raises a distinct
-    exception type.
+    Checks, in order: shape, integer entries and index range, the
+    Latin-square property, existence of a two-sided identity (relabelled to
+    index 0 if it sits elsewhere), and full associativity.  Each failure
+    raises a distinct exception type.  Floats, bools, strings and integers
+    too large for a machine word are refused, not cast.
     """
     try:
-        arr = np.array(table, dtype=np.int64)
+        arr = np.asarray(table)
     except (TypeError, ValueError) as exc:
         raise NotLatinSquareError(f"not a rectangular integer array: {exc}") from exc
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -173,9 +174,13 @@ def verify_axioms(table, name: str | None = None) -> FiniteGroup:
     n = arr.shape[0]
     if n == 0:
         raise NotLatinSquareError("table is empty")
+    if arr.dtype.kind not in "iu":
+        raise NotLatinSquareError(f"table entries are not integers ({arr.dtype})")
     _check_cap(n, MAX_TABLE_ORDER)
+    # The range is checked in the input's own dtype, so the cast cannot wrap.
     if arr.min() < 0 or arr.max() >= n:
         raise NotLatinSquareError("table entries out of index range")
+    arr = arr.astype(TABLE_DTYPE)
     idx = np.arange(n)
     if not (np.sort(arr, axis=1) == idx).all() or not (
         np.sort(arr, axis=0) == idx[:, None]

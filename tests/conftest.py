@@ -6,7 +6,10 @@ def pytest_addoption(parser):
         "--runslow",
         action="store_true",
         default=False,
-        help="run the long checks (order-16 census, order 7-8 Latin oracle)",
+        help=(
+            "run the long checks (order-16 census and claims, full lemma "
+            "sweep, element orders near the table cap)"
+        ),
     )
 
 

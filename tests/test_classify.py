@@ -289,21 +289,34 @@ def test_counterexample_reports_carry_tables():
 
 
 @pytest.mark.parametrize(
-    "script, expected",
+    "script, expected, max_order",
     [
-        ("verify_all.py", "0 failures"),
-        ("census_timing.py", "order   8:   5 classes"),
+        pytest.param("verify_all.py", "0 failures", 8, id="verify_all.py-0 failures"),
+        pytest.param(
+            "census_timing.py",
+            "order   8:   5 classes",
+            8,
+            id="census_timing.py-order   8:   5 classes",
+        ),
+        # above the default enumeration cap of 16
+        pytest.param(
+            "verify_all.py",
+            "[L2.1] all orders <= 17",
+            17,
+            id="verify_all.py-max-order 17",
+        ),
     ],
 )
-def test_scripts_run_at_a_small_order(script, expected):
+def test_scripts_run_at_a_small_order(script, expected, max_order):
     # verify_all builds its SD groups through the split-extension builder.
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root / "src"), env.get("PYTHONPATH")])
     )
+    script_path = str(root / "scripts" / script)
     proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / script), "--max-order", "8"],
+        [sys.executable, script_path, "--max-order", str(max_order)],
         capture_output=True,
         text=True,
         env=env,

@@ -251,6 +251,16 @@ def test_approx_beta_materialize_too_large(capsys):
     assert record["required_order"] == 18258240
 
 
+def test_approx_beta_materialize_above_the_int16_limit(capsys):
+    # (3, 5, 7, 23) needs order 38,640: under this table cap, over int16 cells.
+    argv = ["--format", "machine", "--table-cap", "100000", "approx-beta"]
+    argv += ["0.58514", "--eps", "0.0001", "--materialize"]
+    assert run(argv) == 0
+    (record,) = machine_lines(capsys)
+    assert record["primes"] == [3, 5, 7, 23]
+    assert record["required_order"] == 38640
+
+
 def test_approx_beta_materialize_small(capsys):
     assert run(["approx-beta", "0.8", "--eps", "0.001", "--materialize"]) == 0
     out = capsys.readouterr().out

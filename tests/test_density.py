@@ -381,6 +381,19 @@ def test_materialize_small_and_too_large():
     assert outcome.required_order == 18258240
 
 
+def test_materialize_refuses_before_building(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(density, "dihedral_product", refuse)
+    selection = approximate_beta(Fraction("0.58514"), Fraction(1, 10**4))
+    assert selection.primes == (3, 5, 7, 23)
+    # over the table cap, and under it but over the int16 limit of 32,768
+    for cap in (4096, 100000):
+        outcome = materialize(selection, order_cap=cap)
+        assert outcome == TooLarge(required_order=38640)
+
+
 def test_formula_count_agreement_for_all_materializable_selections():
     # every selection with product order <= 4096 recounts exactly
     from grpinv.classify import dihedral_prime_subsets

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from grpinv import enumeration
+from grpinv.catalog import builtin_catalog
 from grpinv.enumeration import (
     EnumerationResult,
     all_groups_upto,
     enumerate_groups,
-    enumerate_groups_reference,
     known_census,
 )
 from grpinv.errors import DomainError, EnumerationTimeout, ResourceLimitError
@@ -57,21 +57,16 @@ def test_groups_pairwise_non_isomorphic():
                 assert are_isomorphic(groups[a], groups[b]) is None
 
 
-def test_reference_path_agrees_up_to_6():
-    for n in range(1, 7):
-        ref = enumerate_groups_reference(n)
-        main = enumerate_groups(n)
-        assert len(ref.groups) == len(main.groups), n
-        # same classes, not just the same count
-        for G in ref.groups:
-            assert any(are_isomorphic(G, H) is not None for H in main.groups)
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("n", [7, 8])
-def test_reference_path_agrees_7_8(n):
-    ref = enumerate_groups_reference(n)
-    assert len(ref.groups) == known_census[n - 1]
+def test_classes_equal_the_catalog_up_to_15():
+    # The catalog is built from closed-form constructors and shares no code
+    # with the backtracker, so a search that loses or merges a class fails.
+    for n in range(1, 16):
+        entries = [e.group for e in builtin_catalog() if e.group.order == n]
+        classes = enumerate_groups(n).groups
+        assert len(entries) == known_census[n - 1] == len(classes), n
+        for G in entries:
+            matches = [H for H in classes if are_isomorphic(G, H) is not None]
+            assert len(matches) == 1, (n, G.name)
 
 
 def test_worker_count_does_not_change_output():
@@ -104,17 +99,18 @@ def test_cap_and_domain_errors():
         all_groups_upto(0)
 
 
-def test_reference_path_refuses_before_searching(monkeypatch):
+def test_enumeration_refuses_before_searching(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the search started")
 
     monkeypatch.setattr(enumeration, "_search_tables", refuse)
-    for n in (0, -2):
-        with pytest.raises(DomainError):
-            enumerate_groups_reference(n)
-    for n, cap in ((17, 16), (9, 8), (10**9, 16)):
-        with pytest.raises(ResourceLimitError):
-            enumerate_groups_reference(n, enum_cap=cap)
+    for enumerate_ in (enumerate_groups, all_groups_upto):
+        for n in (0, -2):
+            with pytest.raises(DomainError):
+                enumerate_(n)
+        for n, cap in ((17, 16), (9, 8), (10**9, 16)):
+            with pytest.raises(ResourceLimitError):
+                enumerate_(n, enum_cap=cap)
 
 
 def test_search_starts_no_threads(monkeypatch):

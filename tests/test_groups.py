@@ -78,6 +78,19 @@ def test_verify_axioms_rejects_each_failure_distinctly():
         verify_axioms([[1, 0, 2], [0, 2, 1], [2, 1, 0]])
     with pytest.raises(NotAssociativeError):
         verify_axioms(NONASSOCIATIVE_LOOP)
+    # Entries that are not integers are refused, not cast to Z2's table.
+    for table in (
+        [[0, 1], [1, 0.9]],
+        [[0.0, 1.5], [1.5, 0.0]],
+        [["0", "1"], ["1", "0"]],
+        np.array([[0, 1], [1, 0]], dtype=bool),
+        [[10**30]],
+        np.array([[2**64 - 1]], dtype=np.uint64),
+        # wraps to the valid index 0 if cast to int16 before the range check
+        np.array([[2**16]]),
+    ):
+        with pytest.raises(NotLatinSquareError):
+            verify_axioms(table)
 
 
 def test_constructed_groups_pass_axioms():

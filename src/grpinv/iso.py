@@ -1,7 +1,13 @@
 """Isomorphism testing for small finite groups.
 
-A cheap fingerprint of invariants filters out mismatches; its center is
-the set of elements commuting with every generator, an n x gens test.
+Every comparison rejects in the same order, cheapest first: the
+element-order histogram, already cached per group, then a fingerprint of
+further invariants, then the search, then the certificate.  Only the
+certificate accepts.  A histogram mismatch rejects before any chain or
+candidate table is built; ``identify`` knows the histograms of its
+parametric families in closed form, so it builds a family member only
+when its histogram is G's.  The fingerprint's center is the set of
+elements commuting with every generator, an n x gens test.
 A backtracking search then maps a greedy generating sequence of one
 group onto images of the same signature (element order and number of
 square roots) in the other.  Each choice of image is replayed through a
@@ -18,11 +24,22 @@ preserves signatures, so restricting to them skips no such tuple.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import TABLE_DTYPE, FiniteGroup, _orders, invariants
+from .arith import euler_phi
+from .groups import (
+    TABLE_DTYPE,
+    FiniteGroup,
+    _orders,
+    invariants,
+    make_cyclic,
+    make_dicyclic,
+    make_dihedral,
+    make_elementary_abelian_2,
+)
 
 #: Table cells compared per block by ``is_homomorphic_bijection``.
 _CHECK_BLOCK = 1 << 18
@@ -145,6 +162,8 @@ def is_homomorphic_bijection(G: FiniteGroup, H: FiniteGroup, bijection) -> bool:
 
 def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> IsoWitness | None:
     """A multiplicative bijection G -> H, or None when none exists."""
+    if invariants(G).order_histogram != invariants(H).order_histogram:
+        return None
     sequence = _generating_sequence(G)
     if _fingerprint(G, sequence[0]) != fingerprint(H):
         return None
@@ -222,44 +241,70 @@ def _search(G: FiniteGroup, sequence, H: FiniteGroup) -> IsoWitness | None:
         del extend
 
 
+def _family_histograms(n: int):
+    """(builder, element-order histogram) for each parametric family with a
+    member of order n, the histogram in closed form: Z_n has phi(d)
+    elements of each order d | n; D_n and Dic_n add n/2 elements of order
+    2, resp. 4, to their rotations Z_{n/2}; Z2^k has n - 1 involutions."""
+
+    def cyclic(m):
+        return Counter({d: euler_phi(d) for d in range(1, m + 1) if m % d == 0})
+
+    families = [(make_cyclic, cyclic(n))]
+    if n % 2 == 0:
+        families.append((make_dihedral, cyclic(n // 2) + Counter({2: n // 2})))
+    if n % 4 == 0:
+        families.append((make_dicyclic, cyclic(n // 2) + Counter({4: n // 2})))
+    if n > 1 and n & (n - 1) == 0:
+        families.append(
+            (
+                lambda m: make_elementary_abelian_2(m.bit_length() - 1),
+                Counter({1: 1, 2: n - 1}),
+            )
+        )
+    return families
+
+
 def identify(G: FiniteGroup) -> str | None:
     """Name of the unique catalog member isomorphic to G, or None.
 
     Groups larger than the catalog bound are still matched against the
     parametric families (cyclic, dihedral, dicyclic, elementary abelian)
-    at their own order.
+    at their own order.  A candidate whose order histogram differs from
+    G's is rejected first: a catalog entry's histogram comes from its
+    cached orders, a family's from its closed form, before its table is
+    built.
     """
     from .catalog import builtin_catalog
 
     catalog = builtin_catalog()
-    # G's chain and fingerprint serve every candidate.
-    sequence = _generating_sequence(G)
-    fp = _fingerprint(G, sequence[0])
-    for entry in catalog:
-        if entry.group.order == G.order and fingerprint(entry.group) == fp:
-            if _search(G, sequence, entry.group) is not None:
-                return entry.name
-    if G.order > max((entry.group.order for entry in catalog), default=0):
-        from .groups import (
-            make_cyclic,
-            make_dicyclic,
-            make_dihedral,
-            make_elementary_abelian_2,
-        )
+    histogram = invariants(G).order_histogram
+    # G's chain and fingerprint, built at the first histogram match and
+    # shared by every later candidate.
+    sequence = fp = None
 
-        n = G.order
-        families = [make_cyclic]
-        if n % 2 == 0:
-            families.append(make_dihedral)
-        if n % 4 == 0:
-            families.append(make_dicyclic)
-        if n & (n - 1) == 0:
-            families.append(lambda m: make_elementary_abelian_2(m.bit_length() - 1))
+    def isomorphic(H):
+        nonlocal sequence, fp
+        if sequence is None:
+            sequence = _generating_sequence(G)
+            fp = _fingerprint(G, sequence[0])
+        return fingerprint(H) == fp and _search(G, sequence, H) is not None
+
+    for entry in catalog:
+        H = entry.group
+        if (
+            H.order == G.order
+            and invariants(H).order_histogram == histogram
+            and isomorphic(H)
+        ):
+            return entry.name
+    if G.order > max((entry.group.order for entry in catalog), default=0):
         # One table of order n at a time: each candidate is released
         # before the next is built.
-        for build in families:
-            candidate = build(n)
-            if fingerprint(candidate) == fp and _search(G, sequence, candidate):
-                return candidate.name
-            del candidate
+        for build, family_histogram in _family_histograms(G.order):
+            if family_histogram == histogram:
+                candidate = build(G.order)
+                if isomorphic(candidate):
+                    return candidate.name
+                del candidate
     return None

@@ -1,8 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -55,6 +58,27 @@ def test_identify_machine(capsys):
     assert run(["--format", "machine", "identify", "SD(9,8)"]) == 0
     (record,) = machine_lines(capsys)
     assert record["name"] == "D18" and record["order"] == 18
+
+
+@pytest.mark.parametrize("module", ["grpinv", "grpinv.cli"])
+def test_python_dash_m_runs_the_cli(module, capsys):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    argv = ["--format", "machine", "identify", "D(6)"]
+    proc = subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert run(argv) == 0
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == capsys.readouterr().out
+    assert '"name": "D6"' in proc.stdout
 
 
 def test_enumerate_machine_schema(capsys):

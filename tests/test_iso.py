@@ -16,6 +16,7 @@ from grpinv.groups import (
     _freeze,
     direct_product,
     element_orders,
+    invariants,
     make_cyclic,
     make_dicyclic,
     make_dihedral,
@@ -330,6 +331,71 @@ def test_identify_negative_at_order_4088_is_fast_and_lean():
     assert name is None
     assert elapsed < 5.0
     assert peak < 200 * 2**20
+
+
+def test_family_histograms_are_those_of_the_built_groups():
+    for n in itertools.chain(range(1, 301), range(4088, 4097)):
+        families = iso._family_histograms(n)
+        power_of_two = n > 1 and n & (n - 1) == 0
+        assert len(families) == 1 + (n % 2 == 0) + (n % 4 == 0) + power_of_two
+        for build, histogram in families:
+            G = build(n)
+            assert invariants(G).order_histogram == histogram, G
+
+    def named(n):
+        return [(build(n).name, dict(h)) for build, h in iso._family_histograms(n)]
+
+    # Z1, D2 = Z2, D4 = Z2^2 and Dic4 = Z4.
+    assert named(1) == [("Z1", {1: 1})]
+    assert named(2) == [("Z2", {1: 1, 2: 1}), ("D2", {1: 1, 2: 1}), ("Z2", {1: 1, 2: 1})]
+    assert named(4) == [
+        ("Z4", {1: 1, 2: 1, 4: 2}),
+        ("D4", {1: 1, 2: 3}),
+        ("Dic4", {1: 1, 2: 1, 4: 2}),
+        ("Z2xZ2", {1: 1, 2: 3}),
+    ]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("built for a comparison the histogram rejects")
+
+
+def _refuse_builds(monkeypatch, *names):
+    for name in names:
+        monkeypatch.setattr(iso, name, _refuse)
+
+
+FAMILY_BUILDERS = (
+    "make_cyclic",
+    "make_dihedral",
+    "make_dicyclic",
+    "make_elementary_abelian_2",
+)
+
+
+def test_histogram_rejections_build_no_chain_or_table(monkeypatch):
+    groups = [evaluate(parse_group_expr(t)) for t in ("D(6)xD(682)", "Z(2)xZ(2)xD(1022)")]
+    # Semidihedral of order 16: no catalog entry has its histogram.
+    groups.append(semidirect_zn_z2(8, 3))
+    C12, D12 = make_cyclic(12), make_dihedral(12)
+    _refuse_builds(monkeypatch, *FAMILY_BUILDERS, "_generating_sequence")
+    for G in groups:
+        assert identify(G) is None
+    assert are_isomorphic(C12, D12) is None
+
+
+def test_identify_builds_only_the_family_with_g_histogram(monkeypatch):
+    G = evaluate(parse_group_expr("Z(2)xD(2046)"))
+    built = []
+
+    def spy(n):
+        built.append(n)
+        return make_dihedral(n)
+
+    _refuse_builds(monkeypatch, *FAMILY_BUILDERS)
+    monkeypatch.setattr(iso, "make_dihedral", spy)
+    assert identify(G) == "D4092"
+    assert built == [4092]
 
 
 def test_homomorphism_check_streams_and_rejects_a_swap():

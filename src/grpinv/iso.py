@@ -15,11 +15,12 @@ chain whose (a, b) pairs are G x generators, each once, so O(n * gens)
 lookups: an entry with a new product derives an image, every other entry
 is a relation checked on the spot, since a bijection fixing e is a
 homomorphism iff f(z*g) = f(z)*f(g) for all z and all generators g.  The
-full homomorphism check, streamed over row blocks, still certifies every
-witness.  Generators are picked lowest-index-first and images tried in
-ascending order, so the witness is the lexicographically first
-generator-image tuple that extends to an isomorphism; an isomorphism
-preserves signatures, so restricting to them skips no such tuple.
+certificate re-proves each witness by that argument: its own walk shows
+that the generators reach G, and one n x gens gather checks every f(z*g).
+Generators are picked lowest-index-first and images tried in ascending
+order, so the witness is the lexicographically first generator-image
+tuple that extends to an isomorphism; an isomorphism preserves
+signatures, so restricting to them skips no such tuple.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 
 from .arith import euler_phi
 from .groups import (
-    TABLE_DTYPE,
     FiniteGroup,
     _orders,
     invariants,
@@ -40,9 +40,6 @@ from .groups import (
     make_dihedral,
     make_elementary_abelian_2,
 )
-
-#: Table cells compared per block by ``is_homomorphic_bijection``.
-_CHECK_BLOCK = 1 << 18
 
 __all__ = [
     "IsoFingerprint",
@@ -141,23 +138,37 @@ def _generating_sequence(G: FiniteGroup):
 
 
 def is_homomorphic_bijection(G: FiniteGroup, H: FiniteGroup, bijection) -> bool:
-    """Check bijectivity plus f(ab) = f(a)f(b) over all pairs, streaming
-    over blocks of rows so that memory stays O(n * block)."""
-    m = np.asarray(bijection, dtype=np.int64)
-    if H.order != G.order or m.shape != (G.order,) or m[0] != 0:
+    """Whether x -> bijection[x] is an isomorphism G -> H, proved on G's greedy
+    generators.  Entries must be integers (a bool is 0 or 1); others give False."""
+    return _certify(G, H, bijection, _generating_sequence(G)[0])
+
+
+def _certify(G: FiniteGroup, H: FiniteGroup, bijection, generators) -> bool:
+    """Prove f = bijection an isomorphism in O(n * |S|), S = generators: f
+    permutes 0..n-1 fixing e, a walk x -> x*s from e reaches all of G, and
+    f(z*s) = f(z)*f(s) for all z and s in S.  The w with f(z*w) = f(z)*f(w)
+    for all z include S and are closed under products, so they are G."""
+    n = G.order
+    try:
+        m = np.asarray(bijection)
+    except ValueError:  # a ragged sequence
         return False
-    if not np.array_equal(np.sort(m), np.arange(G.order)):
+    if H.order != n or m.shape != (n,) or m.dtype.kind not in "biu":
         return False
-    # A permutation of the indices, so the cast to the cell type cannot wrap.
-    m = m.astype(TABLE_DTYPE)
-    step = max(1, _CHECK_BLOCK // G.order)
-    for start in range(0, G.order, step):
-        block = slice(start, start + step)
-        if not np.array_equal(
-            m[G.table[block]], np.take(H.table[m[block]], m, axis=1)
-        ):
-            return False
-    return True
+    values = m.tolist()
+    if values[0] != 0 or sorted(values) != list(range(n)):
+        return False
+    m = m.astype(np.intp)  # a permutation, so no wrap; bools become indices
+    products = G.table.take(generators, axis=1)
+    rows = products.tolist()
+    walk, reached = [0], [True] + [False] * (n - 1)
+    for x in walk:
+        for z in rows[x]:
+            if not reached[z]:
+                reached[z] = True
+                walk.append(z)
+    images = H.table.take(m[generators], axis=1).take(m, axis=0)
+    return len(walk) == n and not np.count_nonzero(m[products] != images)
 
 
 def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> IsoWitness | None:
@@ -197,9 +208,8 @@ def _search(G: FiniteGroup, sequence, H: FiniteGroup) -> IsoWitness | None:
     def extend(level: int) -> IsoWitness | None:
         if level == len(generators):
             bijection = tuple(mapping)
-            if is_homomorphic_bijection(G, H, bijection):
-                return IsoWitness(bijection=bijection)
-            return None
+            certified = _certify(G, H, bijection, generators)
+            return IsoWitness(bijection=bijection) if certified else None
         g = generators[level]
         segment = chain[level]
         for image in candidates[level]:
@@ -231,8 +241,6 @@ def _search(G: FiniteGroup, sequence, H: FiniteGroup) -> IsoWitness | None:
                 used[value] = False
         return None
 
-    if not generators:  # trivial group
-        return IsoWitness(bijection=(0,)) if H.order == 1 else None
     try:
         return extend(0)
     finally:

@@ -81,6 +81,82 @@ def test_homomorphism_certificate_over_several_blocks():
     assert not is_homomorphic_bijection(G, G, identity[:-1] + [n])
 
 
+def test_homomorphism_certificate_takes_only_integer_entries():
+    Z2, Z3 = make_cyclic(2), make_cyclic(3)
+    assert is_homomorphic_bijection(Z3, Z3, [0, 2, 1])
+    assert is_homomorphic_bijection(Z3, Z3, np.array([0, 2, 1], dtype=np.uint8))
+    assert is_homomorphic_bijection(Z3, Z3, (0, np.int64(2), 1))
+    # Floats are not truncated, strings not parsed, and an integer beyond
+    # every index is rejected rather than overflowing.
+    assert not is_homomorphic_bijection(Z3, Z3, [0, 1.9, 2])
+    assert not is_homomorphic_bijection(Z3, Z3, [0, 1.0, 2])
+    assert not is_homomorphic_bijection(Z3, Z3, [0, "1", 2])
+    assert not is_homomorphic_bijection(Z3, Z3, [0, 2**70, 2])
+    assert not is_homomorphic_bijection(Z3, Z3, [0, 2**64 - 1, 2])
+    assert not is_homomorphic_bijection(Z3, Z3, [0, None, 2])
+    assert not is_homomorphic_bijection(Z3, Z3, [0, [1], 2])
+    assert not is_homomorphic_bijection(Z3, Z3, "012")
+    # A bool is the integer 0 or 1.
+    assert is_homomorphic_bijection(Z2, Z2, [False, True])
+    assert is_homomorphic_bijection(Z3, Z3, [0, True, 2])
+    # Homomorphisms that are not bijections.
+    Z4 = make_cyclic(4)
+    for endomorphism in ([0, 2, 0, 2], [0, 0, 0, 0]):
+        assert _all_pairs_homomorphic(Z4, Z4, endomorphism)
+        assert not is_homomorphic_bijection(Z4, Z4, endomorphism)
+
+
+def _all_pairs_homomorphic(G, H, f):
+    """f(a*b) == f(a)*f(b) for every pair, straight from both tables."""
+    g, h = G.table.tolist(), H.table.tolist()
+    return all(
+        f[g[a][b]] == h[f[a]][f[b]] for a in range(G.order) for b in range(G.order)
+    )
+
+
+def _agrees_with_all_pairs(G, H, bijection):
+    verdict = is_homomorphic_bijection(G, H, bijection)
+    assert verdict == _all_pairs_homomorphic(G, H, bijection), (G, H, bijection)
+    return verdict
+
+
+def test_certificate_agrees_with_an_all_pairs_check():
+    small = [entry.group for entry in builtin_catalog() if entry.group.order <= 6]
+    accepted = 0
+    for G, H in _same_order_pairs(small):
+        for images in itertools.permutations(range(1, G.order)):
+            accepted += _agrees_with_all_pairs(G, H, (0,) + images)
+    # Aut of Z1, Z2, Z3, Z4, Z5, Z6, Z2xZ2 and D6.
+    assert accepted == 1 + 1 + 2 + 2 + 4 + 2 + 6 + 6
+
+    rng = random.Random(20261019)
+    results = all_groups_upto(16)
+    classes = [G for n in range(8, 17) for G in results[n].groups]
+    accepted = 0
+    for G, H in _same_order_pairs(classes):
+        n = G.order
+        maps = [[0] + rng.sample(range(1, n), n - 1) for _ in range(3)]
+        witness = are_isomorphic(G, H)
+        if witness is not None:
+            near = list(witness.bijection)
+            a, b = rng.sample(range(1, n), 2)
+            near[a], near[b] = near[b], near[a]
+            maps += [witness.bijection, near]
+        for bijection in maps:
+            accepted += _agrees_with_all_pairs(G, H, bijection)
+    # At least the witness of each class onto itself.
+    assert accepted >= len(classes)
+
+
+def test_certify_needs_a_generating_set():
+    # The identity map is a homomorphism, but {1} generates only a Z2 of
+    # Z2xZ2, so the helper cannot prove it from that set.
+    G = evaluate(parse_group_expr("Z(2)xZ(2)"))
+    identity = list(range(G.order))
+    assert iso._certify(G, G, identity, _generating_sequence(G)[0])
+    assert not iso._certify(G, G, identity, [1])
+
+
 def test_semidirect_vs_dihedral_witness():
     w = are_isomorphic(semidirect_zn_z2(9, 8), make_dihedral(18))
     assert w is not None
@@ -265,14 +341,15 @@ def test_signature_candidates_keep_the_first_witness():
 
 def test_chain_checks_leave_only_isomorphisms_to_certify(monkeypatch):
     # The chain checks f(z*g) = f(z)*f(g) for every z and generator g, so
-    # every assignment that reaches the full-table check is a homomorphism.
+    # every assignment that reaches the certificate is a homomorphism.
     verdicts = []
+    certify = iso._certify
 
-    def recording(G, H, bijection):
-        verdicts.append(is_homomorphic_bijection(G, H, bijection))
+    def recording(G, H, bijection, generators):
+        verdicts.append(certify(G, H, bijection, generators))
         return verdicts[-1]
 
-    monkeypatch.setattr(iso, "is_homomorphic_bijection", recording)
+    monkeypatch.setattr(iso, "_certify", recording)
     for G, H in _same_order_pairs(_classes_and_catalog()):
         are_isomorphic(G, H)
     assert verdicts and all(verdicts)

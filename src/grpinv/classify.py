@@ -47,7 +47,9 @@ from .enumeration import DEFAULT_ENUM_CAP, all_groups_upto
 from .errors import DomainError, ResourceLimitError
 from .groups import (
     DEFAULT_TABLE_CAP,
+    MAX_TABLE_ORDER,
     FiniteGroup,
+    _check_cap,
     _powers,
     dihedral_product,
     direct_product,
@@ -179,14 +181,10 @@ def theorem1_families(r: int, max_order: int) -> list[tuple[str, FiniteGroup]]:
             if 2 * p <= max_order:
                 members.append((f"D{2 * p}", make_dihedral(2 * p)))
     else:
-        for name, order, build in (
-            ("Z4xZ2", 8, lambda: direct_product(make_cyclic(4), make_cyclic(2))),
-            ("Z2xD8", 16, lambda: direct_product(make_cyclic(2), make_dihedral(8))),
-            ("Z8", 8, lambda: make_cyclic(8)),
-            ("D16", 16, lambda: make_dihedral(16)),
-        ):
-            if order <= max_order:
-                members.append((name, build()))
+        for name in ("Z4xZ2", "Z2xD8", "Z8", "D16"):
+            G = catalog_group(name)
+            if G.order <= max_order:
+                members.append((name, G))
         for p in iter_odd_primes(max_order):
             if p * p <= max_order:
                 members.append((f"Z{p * p}", make_cyclic(p * p)))
@@ -480,8 +478,14 @@ def check_lemma42(
 
 def dihedral_prime_subsets(cap: int = DEFAULT_TABLE_CAP) -> list[tuple[int, ...]]:
     """All sets of distinct odd primes whose dihedral product fits a table
-    of order ``cap`` (the empty set included), smallest primes first."""
-    primes = list(iter_odd_primes(cap // 2 if cap >= 6 else 0))
+    of order ``cap`` (the empty set included), smallest primes first.
+
+    Raises :class:`ResourceLimitError` at the first set whose product is
+    above ``MAX_TABLE_ORDER``.  Primes above ``MAX_TABLE_ORDER // 2`` are
+    not sieved: a set holding one is above the ceiling too, and the walk
+    always reaches a set of smaller primes above it first.
+    """
+    primes = list(iter_odd_primes(min(cap, MAX_TABLE_ORDER) // 2))
     subsets: list[tuple[int, ...]] = [()]
 
     def grow(start: int, chosen: tuple[int, ...], order: int) -> None:
@@ -489,6 +493,7 @@ def dihedral_prime_subsets(cap: int = DEFAULT_TABLE_CAP) -> list[tuple[int, ...]
             p = primes[k]
             if order * 2 * p > cap:
                 break
+            _check_cap(order * 2 * p, cap)
             subsets.append(chosen + (p,))
             grow(k + 1, chosen + (p,), order * 2 * p)
 

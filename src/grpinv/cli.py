@@ -24,7 +24,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -40,7 +39,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .expr import evaluate, parse_group_expr
-from .groups import DEFAULT_TABLE_CAP, invariants
+from .groups import DEFAULT_TABLE_CAP, MAX_TABLE_ORDER, _check_cap, invariants
 from .iso import identify
 
 __all__ = ["build_parser", "run", "main"]
@@ -52,14 +51,6 @@ EXIT_RESOURCE = 3
 
 #: Seed for the randomized lemma-4.1 sweep; fixed so CLI output is stable.
 _L41_SEED = 20250525
-
-
-@dataclass
-class _Config:
-    table_cap: int
-    enum_cap: int
-    prime_cap: int
-    machine: bool
 
 
 def _global_flags(defaults: bool) -> argparse.ArgumentParser:
@@ -128,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(config: _Config, record: dict, human: str) -> None:
-    if config.machine:
+def _emit(args, record: dict, human: str) -> None:
+    if args.format == "machine":
         print(json.dumps(record, sort_keys=True))
     else:
         print(human)
@@ -146,7 +137,7 @@ def _beta_fields(inv) -> dict:
     }
 
 
-def _print_report(config: _Config, report: classify.VerificationReport) -> None:
+def _print_report(args, report: classify.VerificationReport) -> None:
     record = {
         "claim": report.claim,
         "scope": report.scope,
@@ -165,28 +156,28 @@ def _print_report(config: _Config, report: classify.VerificationReport) -> None:
     if report.counterexample is not None:
         human += f"\n    counterexample: {report.counterexample.description}"
         human += f"\n    table: {report.counterexample.table}"
-    _emit(config, record, human)
+    _emit(args, record, human)
 
 
 def _reports_exit(reports) -> int:
     return EXIT_OK if all(r.ok for r in reports) else EXIT_COUNTEREXAMPLE
 
 
-def _cmd_invariants(config: _Config, args) -> int:
+def _cmd_invariants(args) -> int:
     expr = parse_group_expr(args.expr)
-    inv = invariants(evaluate(expr, table_cap=config.table_cap))
+    inv = invariants(evaluate(expr, table_cap=args.table_cap))
     record = {"group": expr.text(), **_beta_fields(inv)}
     human = (
         f"group {expr.text()}: order={inv.order} i={inv.i} c={inv.c} r={inv.r} "
         f"beta={inv.beta.numerator}/{inv.beta.denominator}"
     )
-    _emit(config, record, human)
+    _emit(args, record, human)
     return EXIT_OK
 
 
-def _cmd_identify(config: _Config, args) -> int:
+def _cmd_identify(args) -> int:
     expr = parse_group_expr(args.expr)
-    group = evaluate(expr, table_cap=config.table_cap)
+    group = evaluate(expr, table_cap=args.table_cap)
     name = identify(group)
     aliases: tuple[str, ...] = ()
     if name is not None:
@@ -205,13 +196,13 @@ def _cmd_identify(config: _Config, args) -> int:
     else:
         alias_note = f" (aliases: {', '.join(aliases)})" if aliases else ""
         human = f"group {expr.text()} (order {group.order}): {name}{alias_note}"
-    _emit(config, record, human)
+    _emit(args, record, human)
     return EXIT_OK
 
 
-def _cmd_enumerate(config: _Config, args) -> int:
-    result = enumerate_groups(args.n, enum_cap=config.enum_cap)
-    if not config.machine:
+def _cmd_enumerate(args) -> int:
+    result = enumerate_groups(args.n, enum_cap=args.enum_cap)
+    if args.format != "machine":
         print(
             f"order {result.order}: {len(result.groups)} isomorphism classes "
             f"({result.tables_explored} tables explored, {result.elapsed:.2f}s)"
@@ -229,8 +220,8 @@ def _cmd_enumerate(config: _Config, args) -> int:
             f"  #{index} {name or 'unnamed':12s} i={inv.i:3d} c={inv.c:3d} "
             f"r={inv.r:3d} beta={inv.beta.numerator}/{inv.beta.denominator}"
         )
-        _emit(config, record, human)
-    if config.machine:
+        _emit(args, record, human)
+    if args.format == "machine":
         # No timing field here: machine output is bit-for-bit reproducible.
         print(
             json.dumps(
@@ -245,70 +236,72 @@ def _cmd_enumerate(config: _Config, args) -> int:
     return EXIT_OK
 
 
-def _lemma_reports(config: _Config, max_order: int) -> list:
+def _lemma_reports(args) -> list:
+    cap = args.table_cap
+    sizes = range(1, min(args.max_order, cap // 2) + 1)
+    # A table above the int16 ceiling is refused before any sweep runs, at
+    # the first one the sweeps would build: L3.1a's D_2n, then L4.2's.
+    if len(sizes) > MAX_TABLE_ORDER // 2:
+        _check_cap(2 * sizes[MAX_TABLE_ORDER // 2], cap)
+    subsets = classify.dihedral_prime_subsets(cap)
     reports = [
         classify.check_unique_cyclic_normality(
-            min(max_order, config.enum_cap), enum_cap=config.enum_cap
+            min(args.max_order, args.enum_cap), enum_cap=args.enum_cap
         )
     ]
-    for n in range(1, max_order + 1):
-        if 2 * n <= config.table_cap:
-            reports.append(classify.check_lemma31a(n, table_cap=config.table_cap))
+    for n in sizes:
+        reports.append(classify.check_lemma31a(n, table_cap=cap))
     catalog = builtin_catalog()
     for entry in catalog:
-        if 2 * entry.group.order <= config.table_cap:
-            reports.append(
-                classify.check_lemma31b(entry.group, table_cap=config.table_cap)
-            )
+        if 2 * entry.group.order <= cap:
+            reports.append(classify.check_lemma31b(entry.group, table_cap=cap))
     rng = random.Random(_L41_SEED)
     coprime_pairs = [
         (a, b)
         for a in catalog
         for b in catalog
         if gcd(a.group.order, b.group.order) == 1
-        and a.group.order * b.group.order <= config.table_cap
+        and a.group.order * b.group.order <= cap
     ]
     for _ in range(100):
         a, b = rng.choice(coprime_pairs)
-        reports.append(
-            classify.check_lemma41(a.group, b.group, table_cap=config.table_cap)
-        )
-    for subset in classify.dihedral_prime_subsets(config.table_cap):
-        reports.append(classify.check_lemma42(subset, table_cap=config.table_cap))
+        reports.append(classify.check_lemma41(a.group, b.group, table_cap=cap))
+    for subset in subsets:
+        reports.append(classify.check_lemma42(subset, table_cap=cap))
     return reports
 
 
-def _cmd_verify(config: _Config, args) -> int:
+def _cmd_verify(args) -> int:
     if args.claim != "theorem24":
         # A sweep over no order would report "verified" with no group examined.
-        bounds = (("--max-order", args.max_order), ("--enum-cap", config.enum_cap))
+        bounds = (("--max-order", args.max_order), ("--enum-cap", args.enum_cap))
         for flag, bound in bounds:
             if bound < 1:
                 raise DomainError(f"{flag} must be >= 1, got {bound}")
     if args.claim == "theorem1":
         reports = list(
-            classify.verify_theorem1(args.max_order, enum_cap=config.enum_cap)
+            classify.verify_theorem1(args.max_order, enum_cap=args.enum_cap)
         )
     elif args.claim == "theorem22":
         reports = [
             classify.verify_involution_threshold(
-                args.max_order, enum_cap=config.enum_cap
+                args.max_order, enum_cap=args.enum_cap
             )
         ]
     elif args.claim == "theorem23":
         reports = [
             classify.verify_c_order_deficit(
-                args.r, args.max_order, enum_cap=config.enum_cap
+                args.r, args.max_order, enum_cap=args.enum_cap
             )
         ]
     elif args.claim == "theorem24":
         reports = [
-            classify.verify_semidirect_dichotomy(args.n, table_cap=config.table_cap)
+            classify.verify_semidirect_dichotomy(args.n, table_cap=args.table_cap)
         ]
     else:
-        reports = _lemma_reports(config, args.max_order)
+        reports = _lemma_reports(args)
     for report in reports:
-        _print_report(config, report)
+        _print_report(args, report)
     return _reports_exit(reports)
 
 
@@ -322,10 +315,10 @@ def _parse_target(text: str) -> Fraction:
     return rational_from_decimal(text)
 
 
-def _cmd_approx_beta(config: _Config, args) -> int:
+def _cmd_approx_beta(args) -> int:
     target = _parse_target(args.target)
     eps = _parse_target(args.eps)
-    selection = density.approximate_beta(target, eps, prime_cap=config.prime_cap)
+    selection = density.approximate_beta(target, eps, prime_cap=args.prime_cap)
     # An exact beta near the floor runs to ~80k digits: lift the int-to-str
     # limit only while the record and the text are built and printed.
     limit = sys.get_int_max_str_digits()
@@ -350,7 +343,7 @@ def _cmd_approx_beta(config: _Config, args) -> int:
             f"primes scanned: {selection.primes_scanned}"
         )
         if args.materialize:
-            outcome = density.materialize(selection, order_cap=config.table_cap)
+            outcome = density.materialize(selection, order_cap=args.table_cap)
             if isinstance(outcome, density.TooLarge):
                 record["required_order"] = outcome.required_order
                 human += (
@@ -363,7 +356,7 @@ def _cmd_approx_beta(config: _Config, args) -> int:
                     f"\nmaterialized {outcome.name} (order {outcome.order}), counted "
                     f"beta {counted.numerator}/{counted.denominator}"
                 )
-        _emit(config, record, human)
+        _emit(args, record, human)
     finally:
         sys.set_int_max_str_digits(limit)
     return EXIT_OK
@@ -375,23 +368,17 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    config = _Config(
-        table_cap=args.table_cap,
-        enum_cap=args.enum_cap,
-        prime_cap=args.prime_cap,
-        machine=args.format == "machine",
-    )
     try:
         if args.command == "invariants":
-            return _cmd_invariants(config, args)
+            return _cmd_invariants(args)
         if args.command == "identify":
-            return _cmd_identify(config, args)
+            return _cmd_identify(args)
         if args.command == "enumerate":
-            return _cmd_enumerate(config, args)
+            return _cmd_enumerate(args)
         if args.command == "verify":
-            return _cmd_verify(config, args)
+            return _cmd_verify(args)
         if args.command == "approx-beta":
-            return _cmd_approx_beta(config, args)
+            return _cmd_approx_beta(args)
         parser.error(f"unknown command {args.command!r}")
     except (ParseError, DomainError, InvalidGroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)

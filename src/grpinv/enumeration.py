@@ -12,8 +12,6 @@ row and column fixed:
 * Latin constraints are tracked with row/column bitmasks;
 * every associativity triple is checked the moment its last cell fills,
   and constraint propagation assigns cells that become forced;
-* a closed power chain of an element must have length dividing the group
-  order;
 * a Lagrange cut: once the leading block ``[0..m]^2`` of the table is full
   and holds only labels ``<= m``, it is a subgroup of order ``m + 1``, so
   a node where ``m + 1`` does not divide the group order is cut.
@@ -219,24 +217,6 @@ def _search_tables(n: int, *, deadline: float | None = None):
                             return False
         return True
 
-    def chains_ok() -> bool:
-        # A closed power chain a, a*a, ... has length |a|, which divides n.
-        for a in range(1, n):
-            y = a
-            length = 1
-            while True:
-                y = T[y][a]
-                if y < 0:
-                    break
-                length += 1
-                if y == 0:
-                    if n % length != 0:
-                        return False
-                    break
-                if length > n:
-                    return False
-        return True
-
     def unwind(mark: int) -> None:
         while len(trail) > mark:
             a, b = trail.pop()
@@ -284,7 +264,7 @@ def _search_tables(n: int, *, deadline: float | None = None):
             if blocked >> v & 1:
                 continue
             queue.clear()
-            if assign(a, b, v) and propagate() and chains_ok():
+            if assign(a, b, v) and propagate():
                 yield from descend(ci + 1, closed_upto, top)
             unwind(mark)
             introduced = shell_introduced

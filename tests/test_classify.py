@@ -4,18 +4,19 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
 
-from grpinv.catalog import builtin_catalog
+from grpinv.catalog import builtin_catalog, catalog_group
 from grpinv.classify import (
     check_lemma31a,
     check_lemma31b,
     check_lemma41,
     check_lemma42,
     check_unique_cyclic_normality,
+    dihedral_prime_subsets,
     order12_case_f_report,
     r_value,
     theorem1_families,
@@ -56,6 +57,25 @@ def test_theorem1_families_sorted_and_reproducible():
     assert keys == sorted(keys)
     again = theorem1_families(2, 16)
     assert [name for name, _ in again] == [name for name, _ in fam]
+
+
+def test_theorem1_r2_fixed_members_are_the_catalog_groups():
+    fixed = ("Z4xZ2", "Z2xD8", "Z8", "D16")
+    members = dict(theorem1_families(2, 16))
+    assert all(members[name] is catalog_group(name) for name in fixed)
+    assert not set(fixed) & {name for name, _ in theorem1_families(2, 7)}
+
+
+def test_dihedral_prime_subsets_refuse_the_int16_ceiling_without_sieving():
+    subsets = dihedral_prime_subsets(2**15)
+    assert subsets[:4] == [(), (3,), (3, 5), (3, 5, 7)]
+    assert max(prod(2 * p for p in s) for s in subsets) <= 2**15
+    assert subsets == dihedral_prime_subsets(32771)
+    for cap, order in ((32772, 32772), (40000, 38640), (10**12, 480480)):
+        start = time.monotonic()
+        with pytest.raises(ResourceLimitError, match=f"group order {order} exceeds"):
+            dihedral_prime_subsets(cap)
+        assert time.monotonic() - start < 2.0
 
 
 def test_verify_theorem1_at_12():

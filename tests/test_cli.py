@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from grpinv import classify
+from grpinv import classify, groups
 from grpinv.classify import Counterexample, VerificationReport
 from grpinv.cli import run
 from grpinv.density import approximate_beta
@@ -421,6 +421,73 @@ def test_table_order_over_the_int16_ceiling_exits_fast(capsys):
     assert run(["--table-cap", "100000", "invariants", "Z(40000)"]) == 3
     assert time.monotonic() - start < 2.0
     assert "exceeds 32768" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cap, max_order, order",
+    [
+        # (3, 5, 7, 23): the first L4.2 product above the ceiling.
+        (40000, 12, 38640),
+        # (3, 5, 7, 11, 13): no prime near cap / 2 is sieved to find it.
+        (10**12, 12, 480480),
+        # L3.1a's D_32770 comes before any L4.2 product.
+        (40000, 20000, 32770),
+    ],
+)
+def test_verify_lemmas_refuses_the_int16_ceiling_before_any_table(
+    cap, max_order, order, monkeypatch, capsys
+):
+    built, swept = [], []
+    real_group = groups.FiniteGroup
+
+    def spy_group(*args, **kwargs):
+        built.append(kwargs.get("order"))
+        return real_group(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "FiniteGroup", spy_group)
+    for name in (
+        "check_unique_cyclic_normality",
+        "check_lemma31a",
+        "check_lemma31b",
+        "check_lemma41",
+        "check_lemma42",
+    ):
+        monkeypatch.setattr(
+            classify, name, lambda *a, _name=name, **k: swept.append(_name)
+        )
+    argv = ["--format", "machine", "--table-cap", str(cap), "verify", "lemmas"]
+    start = time.monotonic()
+    assert run([*argv, "--max-order", str(max_order)]) == 3
+    assert time.monotonic() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: group order {order} exceeds 32768, the largest order whose "
+        "element indices fit int16 cells\n"
+    )
+    assert built == [] and swept == []
+
+
+def test_verify_lemmas_max_order_stops_at_the_table_cap(capsys):
+    # L3.1a needs D_2n within the cap, so any --max-order past cap / 2 is 32.
+    argv = ["--format", "machine", "--table-cap", "64", "--enum-cap", "8"]
+    argv += ["verify", "lemmas", "--max-order"]
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "grpinv", *argv, str(10**12)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert run([*argv, "32"]) == 0
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == capsys.readouterr().out
+    assert proc.stdout.count('"L3.1a"') == 32
 
 
 def test_prime_cap_over_ceiling_exits_fast(capsys):

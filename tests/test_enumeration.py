@@ -242,6 +242,15 @@ def test_raw_search_is_pinned(orders_17_to_20):
     assert digests[20] == SEARCH_DIGESTS[20]
 
 
+@pytest.mark.slow
+def test_raw_search_is_pinned_at_order_24():
+    tables = list(enumeration._search_tables(24))
+    assert len(tables) == 4608
+    assert _search_digest(tables) == (
+        "319a2a82d4598462f2236c3dc7231d7a57f2e2e6454891a4f76095f05c527e2b"
+    )
+
+
 def _table(n: int, cells: dict) -> list[list[int]]:
     T = [[-1] * n for _ in range(n)]
     for k in range(n):

@@ -79,20 +79,6 @@ def _q8_extension() -> FiniteGroup:
     return split_extension_by_involution(q8, conjugation, name="Q8:Z2")
 
 
-def _v4_by_z4_swap() -> FiniteGroup:
-    """(Z2 x Z2) extended by Z4 acting through the factor swap."""
-    table = np.zeros((16, 16), dtype=TABLE_DTYPE)
-    for a1, b1, c1 in itertools.product(range(2), range(2), range(4)):
-        left = (a1 * 2 + b1) * 4 + c1
-        for a2, b2, c2 in itertools.product(range(2), range(2), range(4)):
-            right = (a2 * 2 + b2) * 4 + c2
-            if c1 % 2:
-                a2, b2 = b2, a2
-            value = (((a1 ^ a2) * 2 + (b1 ^ b2))) * 4 + (c1 + c2) % 4
-            table[left, right] = value
-    return _freeze(table, name="(Z2xZ2):Z4")
-
-
 def _abelian(name: str, *factors: int) -> CatalogEntry:
     group = make_cyclic(factors[0])
     for f in factors[1:]:
@@ -140,7 +126,13 @@ def builtin_catalog() -> tuple[CatalogEntry, ...]:
             "Z2xD8",
             direct_product(make_cyclic(2), make_dihedral(8)),
         ),
-        _named("(Z2xZ2):Z4", _v4_by_z4_swap()),
+        # Z2^3 = <x, y, z> extended by t swapping y and z, with t*t = x.
+        _named(
+            "(Z2xZ2):Z4",
+            split_extension_by_involution(
+                make_elementary_abelian_2(3), [0, 1, 4, 5, 2, 3, 6, 7], h0=1
+            ),
+        ),
         _named("Q8:Z2", _q8_extension()),
     ]
     return tuple(entries)

@@ -17,12 +17,11 @@ row and column fixed:
   a node where ``m + 1`` does not divide the group order is cut.
 
 Survivors are deduplicated through fingerprint buckets plus isomorphism
-tests, keeping the lexicographically least table of each class.  Each
-table's generating sequence is built once, for its fingerprint, and a
-bucket's representatives keep theirs, so a comparison is one
-signature-restricted ``iso._search``.  The search is serial: it is pure
-Python under the GIL and measured no faster on a thread pool, so the
-``workers`` argument of ``enumerate_groups`` is accepted and ignored.
+tests, keeping the lexicographically least table of each class; ``iso``
+keeps each group's generating sequence and fingerprint, so a comparison
+builds neither twice.  The search is serial: it is pure Python under the
+GIL and measured no faster on a thread pool, so the ``workers`` argument
+of ``enumerate_groups`` is accepted and ignored.
 
 Completeness is checked against ``catalog.builtin_catalog()``, which is
 built from closed-form constructors and shares no code with the
@@ -39,11 +38,7 @@ import numpy as np
 
 from .errors import DomainError, EnumerationTimeout, ResourceLimitError
 from .groups import TABLE_DTYPE, FiniteGroup, _freeze
-from .iso import _fingerprint, _generating_sequence, _search
-
-# Unused here; perfbench/tests/test_bench_tracer.py reaches the function as
-# ``enumeration.are_isomorphic`` to check that the tracer wraps every binding.
-from .iso import are_isomorphic  # noqa: F401
+from .iso import are_isomorphic, fingerprint
 
 DEFAULT_ENUM_CAP = 16
 
@@ -282,30 +277,18 @@ def _dedup_classes(
     Returns the classes and whether the deadline cut the pass short; the
     classes are then those deduplicated before it passed.
     """
-    # Each bucket entry keeps its representative's generating sequence, so
-    # a comparison runs only the search: equal sort keys mean equal
-    # fingerprints.
-    buckets: dict[tuple, list[tuple[FiniteGroup, tuple[int, ...], tuple]]] = {}
+    # Tables arrive in ascending order, so each bucket is too.
+    buckets: dict[tuple, list[FiniteGroup]] = {}
     timed_out = False
     for flat in sorted(set(tables)):
         if deadline is not None and time.monotonic() > deadline:
             timed_out = True
             break
-        arr = np.array(flat, dtype=TABLE_DTYPE).reshape(n, n)
-        G = _freeze(arr)
-        sequence = _generating_sequence(G)
-        key = _fingerprint(G, sequence[0]).sort_key()
-        bucket = buckets.setdefault(key, [])
-        for existing, _, existing_sequence in bucket:
-            if _search(existing, existing_sequence, G) is not None:
-                break
-        else:
-            bucket.append((G, flat, sequence))
-    ordered = []
-    for key in sorted(buckets):
-        for G, _flat, _sequence in sorted(buckets[key], key=lambda entry: entry[1]):
-            ordered.append(G)
-    return ordered, timed_out
+        G = _freeze(np.array(flat, dtype=TABLE_DTYPE).reshape(n, n))
+        bucket = buckets.setdefault(fingerprint(G).sort_key(), [])
+        if not any(are_isomorphic(existing, G) for existing in bucket):
+            bucket.append(G)
+    return [G for key in sorted(buckets) for G in buckets[key]], timed_out
 
 
 def enumerate_groups(

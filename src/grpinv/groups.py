@@ -15,8 +15,9 @@ The invariants of interest are
 All of them follow from the element orders alone: with n_d elements of
 order d, ``i = n_1 + n_2`` and, since a cyclic subgroup of order d has
 phi(d) generators, ``c = sum_d n_d / phi(d)``.  The order vector is the
-one thing scanned and cached per group, by a few length-n gathers per
-prime p dividing n = |G| and no loop over elements.  Let P_p(x) = x^p:
+one thing scanned per group, by a few length-n gathers per prime p
+dividing n = |G| and no loop over elements; it and the invariants are
+kept by ``_per_group`` for as long as the group lives.  Let P_p(x) = x^p:
 P_2 is the diagonal, and for odd p the map comes from binary powering,
 where a squaring is a gather through the diagonal and a multiply one
 gather from the table.  With p^a || n, the image of P_p^a is the set S_p
@@ -32,6 +33,7 @@ Cyclic subgroups themselves are built only on request.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -321,31 +323,43 @@ def dihedral_product(primes, *, table_cap: int = DEFAULT_TABLE_CAP) -> FiniteGro
 
 
 def split_extension_by_involution(
-    G: FiniteGroup, alpha, *, name: str | None = None
+    G: FiniteGroup, alpha, *, h0: int = 0, name: str | None = None
 ) -> FiniteGroup:
-    """Order-2|G| extension (g, e) with the flip acting through ``alpha``.
+    """Order-2|G| extension by t with t*x*t^-1 = alpha(x) and t*t = h0.
 
-    ``alpha`` is an automorphism given as an index array with
-    alpha(alpha(x)) = x.  Composition: (a, e)(b, d) = (a * alpha^e(b), e + d);
-    index is 2a + e, so the table is one block of G's table per e, doubled,
-    and that block plus one for d = 1 - e.
+    ``alpha`` is an automorphism given as an index array that fixes h0,
+    with alpha(alpha(x)) = h0*x*h0^-1: for the default h0 = e it is
+    involutive.  Composition: (a, e)(b, d) = (a * alpha^e(b) * h0^(ed),
+    e + d); index is 2a + e, so the table is one block of G's table per e,
+    doubled, and that block plus one for d = 1 - e; for h0 != e the
+    e = d = 1 block is then multiplied by h0 on the right.
     """
     n = G.order
     _check_cap(2 * n, MAX_TABLE_ORDER)
+    if not 0 <= h0 < n:
+        raise DomainError(f"h0 = {h0} is not an element index below {n}")
     alpha = np.asarray(alpha, dtype=np.intp)
     idx = np.arange(n)
+    h0_inverse = np.argmax(G.table[h0] == 0)
     if (
         alpha.shape != (n,)
         or not np.array_equal(np.sort(alpha), idx)
-        or not np.array_equal(alpha[alpha], idx)
+        or not np.array_equal(alpha[alpha], G.table[G.table[h0], h0_inverse])
     ):
-        raise DomainError("alpha must be an involutive permutation of the elements")
-    if not np.array_equal(alpha[G.table], G.table[np.ix_(alpha, alpha)]):
-        raise DomainError("alpha is not an automorphism")
+        raise DomainError(
+            "alpha must be a permutation with alpha(alpha(x)) = h0*x*h0^-1 "
+            "(involutive for h0 = e)"
+        )
+    if alpha[h0] != h0 or not np.array_equal(
+        alpha[G.table], G.table[np.ix_(alpha, alpha)]
+    ):
+        raise DomainError("alpha is not an automorphism fixing h0")
     table = np.empty((n, 2, n, 2), dtype=TABLE_DTYPE)
     for e, block in enumerate((G.table, G.table[:, alpha])):
         np.multiply(block, 2, out=table[:, e, :, e])
         np.add(table[:, e, :, e], 1, out=table[:, e, :, 1 - e])
+    if h0:  # t*t = h0: (a, 1)(b, 1) = (a * alpha(b) * h0, 0)
+        np.take(2 * G.table[:, h0], G.table[:, alpha], out=table[:, 1, :, 1])
     return _freeze(table.reshape(2 * n, 2 * n), name=name)
 
 
@@ -372,9 +386,18 @@ def semidirect_zn_z2(
 # ---------------------------------------------------------------------------
 # Invariants
 
-_ORDERS_CACHE: "weakref.WeakKeyDictionary[FiniteGroup, np.ndarray]" = (
-    weakref.WeakKeyDictionary()
-)
+def _per_group(compute):
+    """Memoize ``compute(G)`` for as long as G lives.  Keys are weak, so the
+    value must not refer to G; every caller shares the one value."""
+    cache = weakref.WeakKeyDictionary()
+
+    @functools.wraps(compute)
+    def memoized(G: FiniteGroup):
+        if G not in cache:
+            cache[G] = compute(G)
+        return cache[G]
+
+    return memoized
 
 
 def _powers(G: FiniteGroup, x: int) -> list[int]:
@@ -402,12 +425,10 @@ def _power_map(G: FiniteGroup, square: np.ndarray, p: int) -> np.ndarray:
     return result
 
 
+@_per_group
 def _orders(G: FiniteGroup) -> np.ndarray:
     """The read-only order array behind ``element_orders``; memoized per
     group.  See the module docstring for the method and its proof."""
-    cached = _ORDERS_CACHE.get(G)
-    if cached is not None:
-        return cached
     n = G.order
     square = np.diagonal(G.table).astype(np.intp)
     orders = np.ones(n, dtype=np.intp)
@@ -424,7 +445,6 @@ def _orders(G: FiniteGroup) -> np.ndarray:
             exponent += ~coprime[powers]
         orders *= (p ** np.arange(a + 1))[exponent]
     orders.setflags(write=False)
-    _ORDERS_CACHE[G] = orders
     return orders
 
 
@@ -465,8 +485,10 @@ def cyclic_subgroups(G: FiniteGroup) -> CyclicSubgroupSet:
     return CyclicSubgroupSet(subgroups=tuple(subgroups))
 
 
+@_per_group
 def invariants(G: FiniteGroup) -> GroupInvariants:
-    """Counted order, i, c, r, beta, and the element-order histogram."""
+    """Counted order, i, c, r, beta, and the element-order histogram;
+    memoized per group, so callers share one value and must not mutate it."""
     counts = np.bincount(_orders(G))
     present = np.flatnonzero(counts)
     histogram = dict(zip(present.tolist(), counts[present].tolist()))

@@ -17,6 +17,8 @@ is a relation checked on the spot, since a bijection fixing e is a
 homomorphism iff f(z*g) = f(z)*f(g) for all z and all generators g.  The
 certificate re-proves each witness by that argument: its own walk shows
 that the generators reach G, and one n x gens gather checks every f(z*g).
+A group's generators, chain and fingerprint are built once, when its
+fingerprint or a search first needs them, and kept while the group lives.
 Generators are picked lowest-index-first and images tried in ascending
 order, so the witness is the lexicographically first generator-image
 tuple that extends to an isomorphism; an isomorphism preserves
@@ -34,6 +36,7 @@ from .arith import euler_phi
 from .groups import (
     FiniteGroup,
     _orders,
+    _per_group,
     invariants,
     make_cyclic,
     make_dicyclic,
@@ -77,16 +80,20 @@ class IsoWitness:
 
 
 def fingerprint(G: FiniteGroup) -> IsoFingerprint:
-    return _fingerprint(G, _generating_sequence(G)[0])
+    return _record(G)[2]
 
 
-def _fingerprint(G: FiniteGroup, generators) -> IsoFingerprint:
+@_per_group
+def _record(G: FiniteGroup):
+    """G's greedy ``generators``, their ``chain`` and G's fingerprint, built
+    once and kept for as long as G lives."""
+    generators, chain = _generating_sequence(G)
     inv = invariants(G)
     gens = np.asarray(generators, dtype=np.intp)
     # z is central iff it commutes with every generator: an n x gens test.
     central = (G.table[:, gens] == G.table[gens, :].T).all(axis=1)
     center_size = int(central.sum())
-    return IsoFingerprint(
+    return generators, chain, IsoFingerprint(
         order=G.order,
         order_histogram=tuple(sorted(inv.order_histogram.items())),
         abelian=center_size == G.order,
@@ -140,7 +147,7 @@ def _generating_sequence(G: FiniteGroup):
 def is_homomorphic_bijection(G: FiniteGroup, H: FiniteGroup, bijection) -> bool:
     """Whether x -> bijection[x] is an isomorphism G -> H, proved on G's greedy
     generators.  Entries must be integers (a bool is 0 or 1); others give False."""
-    return _certify(G, H, bijection, _generating_sequence(G)[0])
+    return _certify(G, H, bijection, _record(G)[0])
 
 
 def _certify(G: FiniteGroup, H: FiniteGroup, bijection, generators) -> bool:
@@ -175,10 +182,9 @@ def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> IsoWitness | None:
     """A multiplicative bijection G -> H, or None when none exists."""
     if invariants(G).order_histogram != invariants(H).order_histogram:
         return None
-    sequence = _generating_sequence(G)
-    if _fingerprint(G, sequence[0]) != fingerprint(H):
+    if fingerprint(G) != fingerprint(H):
         return None
-    return _search(G, sequence, H)
+    return _search(G, H)
 
 
 def _signatures(G: FiniteGroup) -> np.ndarray:
@@ -187,11 +193,11 @@ def _signatures(G: FiniteGroup) -> np.ndarray:
     return _orders(G) * (G.order + 1) + roots
 
 
-def _search(G: FiniteGroup, sequence, H: FiniteGroup) -> IsoWitness | None:
-    """The backtracking search behind ``are_isomorphic``, from G's
-    precomputed ``(generators, chain)``; fingerprints must already match."""
+def _search(G: FiniteGroup, H: FiniteGroup) -> IsoWitness | None:
+    """The backtracking search behind ``are_isomorphic``, along G's recorded
+    chain; fingerprints must already match."""
     n = G.order
-    generators, chain = sequence
+    generators, chain, _ = _record(G)
     signatures_g = _signatures(G)
     signatures_h = _signatures(H)
     item_h = H.table.item
@@ -266,7 +272,7 @@ def _family_histograms(n: int):
     if n > 1 and n & (n - 1) == 0:
         families.append(
             (
-                lambda m: make_elementary_abelian_2(m.bit_length() - 1),
+                lambda m, **caps: make_elementary_abelian_2(m.bit_length() - 1, **caps),
                 Counter({1: 1, 2: n - 1}),
             )
         )
@@ -287,16 +293,9 @@ def identify(G: FiniteGroup) -> str | None:
 
     catalog = builtin_catalog()
     histogram = invariants(G).order_histogram
-    # G's chain and fingerprint, built at the first histogram match and
-    # shared by every later candidate.
-    sequence = fp = None
 
     def isomorphic(H):
-        nonlocal sequence, fp
-        if sequence is None:
-            sequence = _generating_sequence(G)
-            fp = _fingerprint(G, sequence[0])
-        return fingerprint(H) == fp and _search(G, sequence, H) is not None
+        return fingerprint(H) == fingerprint(G) and _search(G, H) is not None
 
     for entry in catalog:
         H = entry.group
@@ -311,7 +310,8 @@ def identify(G: FiniteGroup) -> str | None:
         # before the next is built.
         for build, family_histogram in _family_histograms(G.order):
             if family_histogram == histogram:
-                candidate = build(G.order)
+                # G's own table is this size, so its cap admits the candidate.
+                candidate = build(G.order, table_cap=G.order)
                 if isomorphic(candidate):
                     return candidate.name
                 del candidate

@@ -60,6 +60,24 @@ def test_identify_machine(capsys):
     assert record["name"] == "D18" and record["order"] == 18
 
 
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        ("Z(4100)", "Z4100"),
+        ("Z(2)xD(2050)", "D4100"),
+        ("Q(4100)", "Dic4100"),
+        ("Z(2)xZ(2050)", None),
+    ],
+)
+def test_identify_builds_family_candidates_under_the_callers_cap(text, name, capsys):
+    # Above the default cap of 4096: a candidate has G's order, so the cap
+    # that admitted G admits it.
+    argv = ["--format", "machine", "--table-cap", "4100", "identify", text]
+    assert run(argv) == 0
+    (record,) = machine_lines(capsys)
+    assert record["name"] == name and record["order"] == 4100
+
+
 @pytest.mark.parametrize("module", ["grpinv", "grpinv.cli"])
 def test_python_dash_m_runs_the_cli(module, capsys):
     root = Path(__file__).resolve().parent.parent

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import time
 import tracemalloc
 from fractions import Fraction
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from grpinv.arith import tau, unit_involutions
-from grpinv.catalog import builtin_catalog
+from grpinv.catalog import builtin_catalog, catalog_group
 from grpinv.enumeration import all_groups_upto, enumerate_groups
 from grpinv.errors import (
     DomainError,
@@ -31,6 +32,7 @@ from grpinv.groups import (
     element_order,
     element_orders,
     invariants,
+    inverses,
     involution_count,
     is_normal_subgroup,
     make_cyclic,
@@ -323,6 +325,38 @@ def test_split_extension_rejects_a_bad_alpha():
     with pytest.raises(DomainError, match="automorphism"):
         split_extension_by_involution(z4, [0, 2, 1, 3])  # swaps 1 and 2
     assert split_extension_by_involution(z4, [0, 3, 2, 1]).order == 8
+    # t*t = h0: h0 must be an element that alpha fixes, and alpha twice
+    # must be conjugation by h0.
+    for h0 in (-1, 4):
+        with pytest.raises(DomainError, match="element index"):
+            split_extension_by_involution(z4, [0, 3, 2, 1], h0=h0)
+    with pytest.raises(DomainError, match="automorphism fixing h0"):
+        split_extension_by_involution(z4, [0, 3, 2, 1], h0=1)  # alpha(1) = 3
+    q8 = make_dicyclic(8)
+    conjugation = q8.table[q8.table[1], inverses(q8)[1]]  # by a = index 1
+    with pytest.raises(DomainError, match="involutive"):
+        # alpha fixes a, but alpha twice is conjugation by a^2, not by a
+        split_extension_by_involution(q8, conjugation, h0=1)
+    for G, alpha, h0 in ((z4, [0, 3, 2, 1], 2), (q8, conjugation, 2)):
+        verify_axioms(split_extension_by_involution(G, alpha, h0=h0).table)
+    # Z4 extended by inversion with t*t = a^2 is Q8.
+    dicyclic = split_extension_by_involution(z4, [0, 3, 2, 1], h0=2)
+    assert are_isomorphic(dicyclic, q8) is not None
+
+
+def test_v4_by_z4_is_the_swap_extension_of_z2_cubed():
+    # The catalog's (Z2xZ2):Z4 is Z2^3 extended by the swap of its last two
+    # factors with t*t = the first; the table is the one of the direct
+    # construction on index (2a + b) * 4 + c, odd c swapping a and b.
+    table = np.zeros((16, 16), dtype=TABLE_DTYPE)
+    for a1, b1, c1 in itertools.product(range(2), range(2), range(4)):
+        left = (a1 * 2 + b1) * 4 + c1
+        for a2, b2, c2 in itertools.product(range(2), range(2), range(4)):
+            right = (a2 * 2 + b2) * 4 + c2
+            if c1 % 2:
+                a2, b2 = b2, a2
+            table[left, right] = ((a1 ^ a2) * 2 + (b1 ^ b2)) * 4 + (c1 + c2) % 4
+    assert np.array_equal(catalog_group("(Z2xZ2):Z4").table, table)
 
 
 def test_is_normal_subgroup():

@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 
 from grpinv.catalog import builtin_catalog, catalog_group
-from grpinv.enumeration import all_groups_upto
+from grpinv.enumeration import all_groups_upto, enumerate_groups
 from grpinv import iso
 from grpinv.expr import evaluate, parse_group_expr
 from grpinv.groups import (
@@ -369,18 +369,47 @@ def test_identify_builds_the_chain_of_g_once(monkeypatch):
 
 
 def test_search_frees_both_groups_without_the_cycle_collector():
-    # A search that found a witness must not keep G and H alive in a
-    # reference cycle: at order ~4092 each table is 67 MB.
+    # Neither a search that found a witness nor the per-group memo may keep
+    # G and H alive, in a reference cycle or otherwise: at order ~4092 each
+    # table is 67 MB.
+    uses = [
+        lambda G, H: are_isomorphic(G, H) is not None and identify(G) == "D12",
+        lambda G, H: invariants(G) == invariants(H),
+        lambda G, H: fingerprint(G) == fingerprint(H),
+        lambda G, H: is_homomorphic_bijection(G, H, range(G.order)) is False,
+    ]
     gc.disable()
     try:
-        G, H = make_dihedral(12), semidirect_zn_z2(6, 5)
-        refs = [weakref.ref(G), weakref.ref(H)]
-        assert are_isomorphic(G, H) is not None
-        assert identify(G) == "D12"
-        del G, H
-        assert [ref() for ref in refs] == [None, None]
+        for use in uses:
+            G, H = make_dihedral(12), semidirect_zn_z2(6, 5)
+            refs = [weakref.ref(G), weakref.ref(H)]
+            assert use(G, H)
+            del G, H
+            assert [ref() for ref in refs] == [None, None], use
     finally:
         gc.enable()
+
+
+def test_dedup_and_identify_build_each_chain_once(monkeypatch):
+    # iso keeps a group's generating sequence for as long as the group
+    # lives: the census builds one per distinct raw table, and identify of
+    # its classes builds none.  The catalog lives for the whole process, so
+    # its own chains are built before counting.
+    for entry in builtin_catalog():
+        fingerprint(entry.group)
+    built = []
+
+    def counting(G):
+        built.append(G.table.tobytes())
+        return _generating_sequence(G)
+
+    monkeypatch.setattr(iso, "_generating_sequence", counting)
+    result = enumerate_groups(16)
+    assert len(built) == len(set(built)) == result.tables_explored == 707
+    built.clear()
+    names = [identify(G) for G in result.groups]
+    assert built == []
+    assert len(names) == 14 and names.count(None) == 4
 
 
 def _traced_identify(text):
@@ -465,9 +494,9 @@ def test_identify_builds_only_the_family_with_g_histogram(monkeypatch):
     G = evaluate(parse_group_expr("Z(2)xD(2046)"))
     built = []
 
-    def spy(n):
+    def spy(n, **kwargs):
         built.append(n)
-        return make_dihedral(n)
+        return make_dihedral(n, **kwargs)
 
     _refuse_builds(monkeypatch, *FAMILY_BUILDERS)
     monkeypatch.setattr(iso, "make_dihedral", spy)

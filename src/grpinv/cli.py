@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -201,7 +202,9 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    result = enumerate_groups(args.n, enum_cap=args.enum_cap)
+    result = enumerate_groups(
+        args.n, enum_cap=args.enum_cap, workers=len(os.sched_getaffinity(0))
+    )
     if args.format != "machine":
         print(
             f"order {result.order}: {len(result.groups)} isomorphism classes "

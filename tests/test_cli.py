@@ -109,6 +109,23 @@ def test_enumerate_machine_schema(capsys):
         assert INVARIANT_KEYS - {"group"} <= set(r)
 
 
+def test_enumerate_runs_a_process_per_cpu_it_may_use(capsys, monkeypatch):
+    from grpinv import cli
+
+    seen = []
+    real = cli.enumerate_groups
+
+    def spy(n, **kwargs):
+        seen.append(kwargs["workers"])
+        return real(n, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(cli, "enumerate_groups", spy)
+    assert run(["--format", "machine", "enumerate", "8"]) == 0
+    assert seen == [3]
+    assert machine_lines(capsys)[-1]["classes"] == 5
+
+
 def test_verify_theorem1_machine(capsys):
     assert run(["--format", "machine", "verify", "theorem1", "--max-order", "12"]) == 0
     records = machine_lines(capsys)
@@ -543,6 +560,7 @@ def test_machine_output_is_deterministic(capsys):
 
 
 def test_threads_flag_is_refused(capsys):
-    # The search is serial; the flag that once sized a thread pool is gone.
+    # The flag that once sized a thread pool is gone; `enumerate` runs one
+    # process per CPU it may use.
     assert run(["--threads", "2", "enumerate", "12"]) == 2
     assert capsys.readouterr().out == ""

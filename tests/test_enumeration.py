@@ -1,5 +1,8 @@
 import hashlib
+import itertools
+import os
 import threading
+import time
 import types
 
 import numpy as np
@@ -70,9 +73,9 @@ def test_classes_equal_the_catalog_up_to_15():
 
 
 def test_worker_count_does_not_change_output():
-    for n in (6, 8, 12):
-        single = enumerate_groups(n, workers=1)
-        multi = enumerate_groups(n, workers=3)
+    for n in (6, 8, 12, 16, 18, 20):
+        single = enumerate_groups(n, enum_cap=20, workers=1)
+        multi = enumerate_groups(n, enum_cap=20, workers=3)
         assert single.tables_explored == multi.tables_explored
         assert len(single.groups) == len(multi.groups)
         for a, b in zip(single.groups, multi.groups):
@@ -111,6 +114,9 @@ def test_enumeration_refuses_before_searching(monkeypatch):
         for n, cap in ((17, 16), (9, 8), (10**9, 16)):
             with pytest.raises(ResourceLimitError):
                 enumerate_(n, enum_cap=cap)
+    for workers in (0, -3, 1.5, "2", None):
+        with pytest.raises(DomainError):
+            enumerate_groups(12, workers=workers)
 
 
 def test_search_starts_no_threads(monkeypatch):
@@ -119,6 +125,186 @@ def test_search_starts_no_threads(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     assert len(enumerate_groups(12, workers=4).groups) == known_census[11]
+
+
+def test_workers_are_clamped_to_the_cpus_in_use(monkeypatch):
+    def refuse():
+        raise AssertionError("a process was forked")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", refuse)
+    assert len(enumerate_groups(12, workers=10**6).groups) == known_census[11]
+
+
+def test_no_fork_while_another_thread_runs(monkeypatch):
+    def refuse():
+        raise AssertionError("a process was forked")
+
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(30,))
+    waiter.start()
+    try:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", refuse)
+        assert len(enumerate_groups(12, workers=2).groups) == known_census[11]
+    finally:
+        release.set()
+        waiter.join(30)
+    assert not waiter.is_alive()
+
+
+def test_claimed_subtrees_partition_the_search():
+    # Two claimants dealt the even and the odd frontier tickets yield the
+    # serial search's tables between them, each exactly once, also at
+    # orders whose tables complete above the frontier.
+    for n in range(1, 13):
+        serial = list(enumeration._search_tables(n))
+        assert list(enumeration._search_tables(n, claim=itertools.count().__next__)) == serial
+        even, odd = (
+            list(enumeration._search_tables(n, claim=itertools.count(k, 2).__next__))
+            for k in (0, 1)
+        )
+        assert sorted(even + odd) == sorted(serial), n
+    assert even and odd  # at order 12 both claimants get tables
+
+
+def test_more_processes_than_cpus_split_the_search_exactly():
+    # A lost or doubled ticket would drop or repeat a subtree's tables.
+    for n in (8, 12):
+        serial = enumerate_groups(n)
+        explored, groups, timed_out = enumeration._fan_out(n, None, 4)
+        assert (explored, timed_out) == (serial.tables_explored, False)
+        assert [G.table.tolist() for G in groups] == [
+            G.table.tolist() for G in serial.groups
+        ]
+    _assert_no_child_left()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Fork one child whatever the host's CPU count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def test_no_child_outlives_a_return_or_a_timeout(two_cpus, monkeypatch):
+    full = enumerate_groups(16)
+    assert enumerate_groups(16, workers=2).tables_explored == full.tables_explored
+    _assert_no_child_left()
+    with pytest.raises(EnumerationTimeout) as exc_info:
+        enumerate_groups(16, workers=2, timeout=0.0)
+    assert exc_info.value.partial.tables_explored == 0
+    _assert_no_child_left()
+    # Every process reads its own copy of a clock that ticks once per
+    # reading, so each passes the deadline a few hundred nodes into its
+    # share, and deduplicates nothing.
+    clock = itertools.count()
+    monkeypatch.setattr(enumeration, "time", types.SimpleNamespace(monotonic=clock.__next__))
+    with pytest.raises(EnumerationTimeout) as exc_info:
+        enumerate_groups(16, workers=2, timeout=1000)
+    _assert_no_child_left()
+    assert 0 < exc_info.value.partial.tables_explored < full.tables_explored
+    # Now the clock stands still until a process's search ends and then
+    # ticks once per reading, so each process keeps the classes of its
+    # first three tables and the partial result merges them.
+    clock = {"now": 0.0, "tick": 0.0}
+
+    def monotonic():
+        clock["now"] += clock["tick"]
+        return clock["now"]
+
+    real_search = enumeration._search_tables
+
+    def search_then_tick(*args, **kwargs):
+        yield from real_search(*args, **kwargs)
+        clock["tick"] = 1.0
+
+    monkeypatch.setattr(enumeration, "time", types.SimpleNamespace(monotonic=monotonic))
+    monkeypatch.setattr(enumeration, "_search_tables", search_then_tick)
+    with pytest.raises(EnumerationTimeout) as exc_info:
+        enumerate_groups(16, workers=2, timeout=3.0)
+    _assert_no_child_left()
+    partial = exc_info.value.partial
+    assert partial.tables_explored == full.tables_explored
+    assert 0 < len(partial.groups) < len(full.groups)
+    for G in partial.groups:
+        assert sum(are_isomorphic(G, H) is not None for H in full.groups) == 1
+        assert sum(are_isomorphic(G, H) is not None for H in partial.groups) == 1
+
+
+class _WorkerFailure(Exception):
+    pass
+
+
+class _TwoPartFailure(Exception):
+    """Pickles, but does not unpickle: its args hold one joined message."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first} {second}")
+
+
+def test_a_child_failure_reaches_the_caller(two_cpus, monkeypatch):
+    parent = os.getpid()
+    real_dedup = enumeration._dedup_classes
+
+    def fail_in_child(exc):
+        def dedup(*args, **kwargs):
+            if os.getpid() != parent:
+                raise exc
+            return real_dedup(*args, **kwargs)
+
+        return dedup
+
+    monkeypatch.setattr(enumeration, "_dedup_classes", fail_in_child(_WorkerFailure("lost")))
+    with pytest.raises(_WorkerFailure, match="^lost$"):
+        enumerate_groups(12, workers=2)
+    _assert_no_child_left()
+
+    class Unpicklable(Exception):
+        pass
+
+    monkeypatch.setattr(enumeration, "_dedup_classes", fail_in_child(Unpicklable("gone")))
+    with pytest.raises(RuntimeError, match="Unpicklable: gone"):
+        enumerate_groups(12, workers=2)
+    _assert_no_child_left()
+    failure = _TwoPartFailure("half", "sent")
+    monkeypatch.setattr(enumeration, "_dedup_classes", fail_in_child(failure))
+    with pytest.raises(RuntimeError, match="_TwoPartFailure: half sent"):
+        enumerate_groups(12, workers=2)
+    _assert_no_child_left()
+
+
+def test_a_parent_failure_kills_its_children(two_cpus, monkeypatch):
+    parent = os.getpid()
+    real_dedup = enumeration._dedup_classes
+
+    def dedup(*args, **kwargs):
+        if os.getpid() == parent:
+            raise _WorkerFailure("parent")
+        time.sleep(60)
+        return real_dedup(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "_dedup_classes", dedup)
+    began = time.monotonic()
+    with pytest.raises(_WorkerFailure, match="^parent$"):
+        enumerate_groups(12, workers=2)
+    assert time.monotonic() - began < 30
+    _assert_no_child_left()
+
+    def refuse():
+        raise BlockingIOError("fork refused")
+
+    # A refused fork leaves neither a child nor an open pipe.
+    open_fds = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fork", refuse)
+    with pytest.raises(BlockingIOError, match="fork refused"):
+        enumerate_groups(12, workers=2)
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    _assert_no_child_left()
 
 
 def test_cap_holds_after_cached_enumeration():
@@ -240,6 +426,13 @@ def test_raw_search_is_pinned(orders_17_to_20):
     assert _search_digest(enumeration._search_tables(16)) == SEARCH_DIGESTS[16]
     assert digests[18] == SEARCH_DIGESTS[18]
     assert digests[20] == SEARCH_DIGESTS[20]
+
+
+@pytest.mark.slow
+def test_census_order_24_on_two_processes():
+    result = enumerate_groups(24, enum_cap=24, workers=2)
+    assert len(result.groups) == 15
+    assert result.tables_explored == 4608
 
 
 @pytest.mark.slow

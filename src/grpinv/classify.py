@@ -6,7 +6,8 @@ naming the claim it checked.  Claims about "exactly these groups" are
 checked in both directions: every listed group realizes the property, and
 no enumerated group outside the list does.  A counterexample report
 carries the offending multiplication table so the failure can be
-re-checked independently of this package.
+re-checked independently of this package.  Every claim over the census
+reads its classes through ``_census``.
 
 Claim identifiers
 -----------------
@@ -15,7 +16,7 @@ T1.1-r0 / T1.1-r1 / T1.1-r2
     2-groups; r=1 the groups Z4, D8, Zp, D2p (p an odd prime); r=2 the
     groups Z4xZ2, Z2xD8, Z8, D16, Zp^2, D2p^2, Z2p, D4p.
 T2.2
-    i(G) > (3/4)|G| forces G elementary abelian 2-group.
+    Groups with i(G) > (3/4)|G| are exactly the elementary abelian 2-groups.
 T2.3-r1 / T2.3-r2 / T2.3-r4
     Groups with c(G) = |G| - r for r = 1, 2, 4 match the published lists.
 T2.4
@@ -39,6 +40,7 @@ L4.2
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .arith import euler_phi, factorize, iter_odd_primes, tau, unit_involutions
 from .catalog import catalog_group, generalized_dihedral
@@ -62,7 +64,7 @@ from .groups import (
     make_elementary_abelian_2,
     semidirect_zn_z2,
 )
-from .iso import are_isomorphic, identify
+from .iso import are_isomorphic
 
 __all__ = [
     "CLAIM_IDS",
@@ -129,8 +131,7 @@ class VerificationReport:
 
 def r_value(G: FiniteGroup) -> int:
     """c(G) - i(G)."""
-    inv = invariants(G)
-    return inv.r
+    return invariants(G).r
 
 
 def _report(claim, scope, named_groups) -> VerificationReport:
@@ -153,6 +154,12 @@ def _refuted(claim, scope, G: FiniteGroup, description: str) -> VerificationRepo
         status="counterexample",
         counterexample=Counterexample(description=description, table=table),
     )
+
+
+def _census(max_order: int, enum_cap: int) -> list[FiniteGroup]:
+    """Every enumerated class of order <= max_order, by order, then by index."""
+    by_order = all_groups_upto(max_order, enum_cap=enum_cap)
+    return [G for m in range(1, max_order + 1) for G in by_order[m].groups]
 
 
 # ---------------------------------------------------------------------------
@@ -237,22 +244,16 @@ def verify_theorem1(
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> tuple[VerificationReport, VerificationReport, VerificationReport]:
     """The r = 0, 1, 2 classifications against exhaustive enumeration."""
-    by_order = all_groups_upto(max_order, enum_cap=enum_cap)
-    reports = []
-    for r in (0, 1, 2):
-        family = theorem1_families(r, max_order)
-        candidates = [
-            G
-            for m in range(1, max_order + 1)
-            for G in by_order[m].groups
-            if r_value(G) == r
-        ]
-        reports.append(
-            _match_family(
-                f"T1.1-r{r}", f"all orders <= {max_order}", family, candidates
-            )
+    census = _census(max_order, enum_cap)
+    return tuple(
+        _match_family(
+            f"T1.1-r{r}",
+            f"all orders <= {max_order}",
+            theorem1_families(r, max_order),
+            [G for G in census if r_value(G) == r],
         )
-    return tuple(reports)
+        for r in (0, 1, 2)
+    )
 
 
 def verify_involution_threshold(
@@ -260,24 +261,14 @@ def verify_involution_threshold(
     *,
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> VerificationReport:
-    """Every enumerated group with 4 i(G) > 3 |G| is elementary abelian."""
-    by_order = all_groups_upto(max_order, enum_cap=enum_cap)
-    scope = f"all orders <= {max_order}"
-    witnesses = []
-    for m in range(1, max_order + 1):
-        for G in by_order[m].groups:
-            inv = invariants(G)
-            if 4 * inv.i > 3 * G.order:
-                if not is_elementary_abelian_2(G):
-                    return _refuted(
-                        "T2.2",
-                        scope,
-                        G,
-                        f"order {G.order}, i = {inv.i} exceeds threshold but "
-                        "not elementary abelian",
-                    )
-                witnesses.append((identify(G) or f"order-{G.order}", G))
-    return _report("T2.2", scope, witnesses)
+    """The enumerated groups with 4 i(G) > 3 |G| are exactly the elementary
+    abelian 2-groups."""
+    return _match_family(
+        "T2.2",
+        f"all orders <= {max_order}",
+        theorem1_families(0, max_order),
+        [G for G in _census(max_order, enum_cap) if 4 * invariants(G).i > 3 * G.order],
+    )
 
 
 _DEFICIT_LISTS = {
@@ -301,10 +292,9 @@ _DEFICIT_LISTS = {
 
 def _deficit_member(name: str) -> FiniteGroup:
     if name == "(Z3xZ3):Z2":
-        G = generalized_dihedral(
+        return generalized_dihedral(
             direct_product(make_cyclic(3), make_cyclic(3)), name=name
         )
-        return G
     if name == "Z2xZ2xD6":
         return direct_product(make_elementary_abelian_2(2), make_dihedral(6))
     if name == "Z2xZ2xD8":
@@ -339,12 +329,8 @@ def verify_c_order_deficit(
             return _refuted(
                 claim, scope, G, f"listed member {name} has c = {inv.c}, not |G| - {r}"
             )
-    by_order = all_groups_upto(max_order, enum_cap=enum_cap)
     candidates = [
-        G
-        for m in range(1, max_order + 1)
-        for G in by_order[m].groups
-        if invariants(G).c == m - r
+        G for G in _census(max_order, enum_cap) if invariants(G).c == G.order - r
     ]
     report = _match_family(claim, scope, in_range, candidates)
     if not report.ok:
@@ -436,8 +422,6 @@ def check_lemma41(
     G: FiniteGroup, H: FiniteGroup, *, table_cap: int = DEFAULT_TABLE_CAP
 ) -> VerificationReport:
     """beta multiplies across a product with coprime orders or a Z2^k factor."""
-    from math import gcd
-
     if gcd(G.order, H.order) != 1 and not is_elementary_abelian_2(H):
         raise DomainError(
             "hypothesis violated: orders share a factor and H is not Z2^k"
@@ -508,27 +492,25 @@ def check_unique_cyclic_normality(
 ) -> VerificationReport:
     """A cyclic subgroup that is unique of its order is normal, across all
     enumerated groups of order <= max_order."""
-    by_order = all_groups_upto(max_order, enum_cap=enum_cap)
     scope = f"all orders <= {max_order}"
     checked = 0
-    for m in range(1, max_order + 1):
-        for G in by_order[m].groups:
-            orders = element_orders(G)
-            # A cyclic subgroup of order d has phi(d) generators, so it is
-            # the only one of its order iff there are phi(d) elements of
-            # order d; it is the powers of any one of them.
-            for d, count in sorted(invariants(G).order_histogram.items()):
-                if count != euler_phi(d):
-                    continue
-                checked += 1
-                members = tuple(sorted(_powers(G, orders.index(d))))
-                if not is_normal_subgroup(G, members):
-                    return _refuted(
-                        "L2.1",
-                        scope,
-                        G,
-                        f"unique cyclic subgroup of order {d} {members} is not normal",
-                    )
+    for G in _census(max_order, enum_cap):
+        orders = element_orders(G)
+        # A cyclic subgroup of order d has phi(d) generators, so it is the
+        # only one of its order iff there are phi(d) elements of order d;
+        # it is the powers of any one of them.
+        for d, count in sorted(invariants(G).order_histogram.items()):
+            if count != euler_phi(d):
+                continue
+            checked += 1
+            members = tuple(sorted(_powers(G, orders.index(d))))
+            if not is_normal_subgroup(G, members):
+                return _refuted(
+                    "L2.1",
+                    scope,
+                    G,
+                    f"unique cyclic subgroup of order {d} {members} is not normal",
+                )
     return VerificationReport(
         claim="L2.1",
         scope=f"{scope} ({checked} unique cyclic subgroups checked)",
@@ -540,23 +522,18 @@ def order12_case_f_report(*, enum_cap: int = DEFAULT_ENUM_CAP) -> VerificationRe
     """At order 12, exactly one class has r = 2 (the 12-gon symmetries), and
     no class with r = 2 realizes the excluded configuration of two distinct
     order-3 cyclic subgroups as its only cyclic subgroups of order > 2."""
-    result = all_groups_upto(12, enum_cap=enum_cap)[12]
     scope = "order 12, two-order-3-subgroups configuration"
-    r2 = [G for G in result.groups if r_value(G) == 2]
-    if len(r2) != 1:
-        return _refuted(
-            "T1.1-r2",
-            scope,
-            r2[0] if r2 else result.groups[0],
-            f"expected exactly one order-12 class with r = 2, found {len(r2)}",
-        )
-    G = r2[0]
-    if are_isomorphic(G, make_dihedral(12)) is None:
-        return _refuted("T1.1-r2", scope, G, "the r = 2 class at order 12 is not D12")
-    histogram = invariants(G).order_histogram
+    r2 = [G for G in _census(12, enum_cap) if G.order == 12 and r_value(G) == 2]
+    report = _match_family("T1.1-r2", scope, [("D12", make_dihedral(12))], r2)
+    if not report.ok:
+        return report
+    histogram = invariants(r2[0]).order_histogram
     big = {d: count // euler_phi(d) for d, count in histogram.items() if d > 2}
     if big == {3: 2}:
         return _refuted(
-            "T1.1-r2", scope, G, "r = 2 arises from two distinct order-3 cyclic subgroups"
+            "T1.1-r2",
+            scope,
+            r2[0],
+            "r = 2 arises from two distinct order-3 cyclic subgroups",
         )
-    return _report("T1.1-r2", scope, [("D12", G)])
+    return report

@@ -462,7 +462,7 @@ def element_order(G: FiniteGroup, x: int) -> int:
 
 def involution_count(G: FiniteGroup) -> int:
     """|{x : x*x = e}|, identity included."""
-    return int(np.count_nonzero(np.diagonal(G.table) == 0))
+    return invariants(G).i
 
 
 def cyclic_subgroups(G: FiniteGroup) -> CyclicSubgroupSet:

@@ -31,7 +31,9 @@ from grpinv.groups import (
     make_cyclic,
     make_dicyclic,
     make_dihedral,
+    make_elementary_abelian_2,
 )
+from grpinv.iso import are_isomorphic
 
 
 def test_r_value_examples():
@@ -290,6 +292,61 @@ def test_order12_case_f():
     report = order12_case_f_report()
     assert report.ok
     assert [name for name, _ in report.witnesses] == ["D12"]
+
+
+def _census_without(monkeypatch, dropped):
+    """Make the census miss the class isomorphic to ``dropped``."""
+    from grpinv import classify
+
+    census = classify._census
+
+    def without(max_order, enum_cap):
+        return [
+            G
+            for G in census(max_order, enum_cap)
+            if G.order != dropped.order or are_isomorphic(G, dropped) is None
+        ]
+
+    monkeypatch.setattr(classify, "_census", without)
+
+
+def test_a_missing_z2xz2_class_refutes_t11_r0_and_t22(monkeypatch):
+    _census_without(monkeypatch, make_elementary_abelian_2(2))
+    missing = "family member Z2xZ2 not realized by any enumerated group"
+    for report in (verify_theorem1(12)[0], verify_involution_threshold(12)):
+        assert not report.ok
+        assert report.counterexample.description == missing
+        assert len(report.counterexample.table) == 4
+
+
+def test_a_missing_d12_class_refutes_case_f_and_t23_r2(monkeypatch):
+    _census_without(monkeypatch, make_dihedral(12))
+    missing = "family member D12 not realized by any enumerated group"
+    for report in (order12_case_f_report(), verify_c_order_deficit(2, 12)):
+        assert not report.ok
+        assert report.counterexample.description == missing
+        assert len(report.counterexample.table) == 12
+    # D12's unique cyclic subgroups have orders 1, 3 and 6.
+    report = check_unique_cyclic_normality(12)
+    assert report.ok
+    assert report.scope == "all orders <= 12 (54 unique cyclic subgroups checked)"
+
+
+def test_a_family_without_z2xz2_refutes_t22(monkeypatch):
+    from grpinv import classify
+
+    families = classify.theorem1_families
+
+    def without_z2xz2(r, max_order):
+        return [(n, G) for n, G in families(r, max_order) if n != "Z2xZ2"]
+
+    monkeypatch.setattr(classify, "theorem1_families", without_z2xz2)
+    report = verify_involution_threshold(12)
+    assert not report.ok
+    assert report.counterexample.description == (
+        "group of order 4 realizes the property but matches no family member"
+    )
+    assert len(report.counterexample.table) == 4
 
 
 def test_counterexample_reports_carry_tables():

@@ -141,6 +141,41 @@ def test_verify_theorem22_and_23(capsys):
     assert "verified" in out
 
 
+# SHA-256 of the default-flag `--format machine verify ...` stdout: however
+# the claims read the census, their records must not move.
+@pytest.mark.parametrize(
+    "claim, stdout",
+    [
+        (
+            ["theorem1"],
+            "97ebae451f5874d604a3502f20a1880a0785549f5686d5c21b717eb81104fa28",
+        ),
+        (
+            ["theorem22"],
+            "ea78e196c50fbf5de227a4ad783bce7f99ca80897570b84dd0f71059d66f1563",
+        ),
+        (
+            ["theorem23", "--r", "1"],
+            "d01ec80f44acc0bbd2290500668a3522ea26ff59809a15324e71d10ea40fe267",
+        ),
+        (
+            ["theorem23", "--r", "2"],
+            "2e13c7f1c9cca263519c459e09c97006566d8c96c4c7453e0d61322a879e2165",
+        ),
+        (
+            ["theorem23", "--r", "4"],
+            "89b83134b89393a747fb9c952a999213089e08e8509fe448204e0bdf9975df1f",
+        ),
+    ],
+    ids=["theorem1", "theorem22", "theorem23-r1", "theorem23-r2", "theorem23-r4"],
+)
+def test_verify_machine_output_is_pinned(capsys, claim, stdout):
+    assert run(["--format", "machine", "verify", *claim]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == stdout
+    assert captured.err == ""
+
+
 def test_verify_theorem24(capsys):
     assert run(["--format", "machine", "verify", "theorem24", "--n", "25"]) == 0
     (record,) = machine_lines(capsys)

@@ -26,7 +26,10 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 from math import gcd
+from operator import itemgetter
 
 from . import classify, density
 from .arith import DEFAULT_PRIME_CAP, literal_excerpt, rational_from_decimal
@@ -40,6 +43,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .expr import evaluate, parse_group_expr
+from .fork import fan_out
 from .groups import DEFAULT_TABLE_CAP, MAX_TABLE_ORDER, _check_cap, invariants
 from .iso import identify
 
@@ -247,17 +251,19 @@ def _lemma_reports(args) -> list:
     if len(sizes) > MAX_TABLE_ORDER // 2:
         _check_cap(2 * sizes[MAX_TABLE_ORDER // 2], cap)
     subsets = classify.dihedral_prime_subsets(cap)
-    reports = [
-        classify.check_unique_cyclic_normality(
-            min(args.max_order, args.enum_cap), enum_cap=args.enum_cap
+    tasks = [
+        partial(
+            classify.check_unique_cyclic_normality,
+            min(args.max_order, args.enum_cap),
+            enum_cap=args.enum_cap,
         )
     ]
     for n in sizes:
-        reports.append(classify.check_lemma31a(n, table_cap=cap))
+        tasks.append(partial(classify.check_lemma31a, n, table_cap=cap))
     catalog = builtin_catalog()
     for entry in catalog:
         if 2 * entry.group.order <= cap:
-            reports.append(classify.check_lemma31b(entry.group, table_cap=cap))
+            tasks.append(partial(classify.check_lemma31b, entry.group, table_cap=cap))
     rng = random.Random(_L41_SEED)
     coprime_pairs = [
         (a, b)
@@ -268,10 +274,38 @@ def _lemma_reports(args) -> list:
     ]
     for _ in range(100):
         a, b = rng.choice(coprime_pairs)
-        reports.append(classify.check_lemma41(a.group, b.group, table_cap=cap))
+        tasks.append(partial(classify.check_lemma41, a.group, b.group, table_cap=cap))
     for subset in subsets:
-        reports.append(classify.check_lemma42(subset, table_cap=cap))
-    return reports
+        tasks.append(partial(classify.check_lemma42, subset, table_cap=cap))
+    return _run_tasks(tasks)
+
+
+def _run_tasks(tasks) -> list:
+    """Every task's result in task order, over every CPU this process may
+    run on; a process claims one task index at a time.
+
+    A process stops at its first task that raises.  Every task before the
+    least index that raised was claimed and run, so that task's exception,
+    raised here, is the one a serial run would raise.
+    """
+
+    def share(claim):
+        outcomes = []
+        while (k := claim()) < len(tasks):
+            try:
+                outcomes.append((k, tasks[k](), None))
+            except Exception as exc:
+                outcomes.append((k, None, exc))
+                break
+        return outcomes
+
+    shares = fan_out(share, len(os.sched_getaffinity(0)))
+    results = []
+    for _, result, exc in sorted(chain.from_iterable(shares), key=itemgetter(0)):
+        if exc is not None:
+            raise exc
+        results.append(result)
+    return results
 
 
 def _cmd_verify(args) -> int:

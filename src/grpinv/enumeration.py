@@ -23,12 +23,13 @@ builds neither twice.
 
 Search and dedup are pure Python, so ``enumerate_groups(n, workers=k)``
 spreads them over processes, not threads: it forks ``k - 1`` children
-(``k`` clamped to the CPUs this process may run on).  Every process walks
-the tree down to a fixed frontier depth and explores the subtrees below
-it whose tickets it claims from one shared counter, then deduplicates its
-own tables; the parent merges the classes.  A class's least table is the
-least of the processes' least tables, so the output does not depend on
-``workers``.
+(``k`` clamped to the CPUs this process may run on) through
+``fork.fan_out``, whose docstring gives the fork, pipe and reaping
+protocol.  Every process walks the tree down to a fixed frontier depth
+and explores the subtrees below it whose tickets it claims from one
+shared counter, then deduplicates its own tables; the parent merges the
+classes.  A class's least table is the least of the processes' least
+tables, so the output does not depend on ``workers``.
 
 Completeness is checked against ``catalog.builtin_catalog()``, which is
 built from closed-form constructors and shares no code with the
@@ -38,10 +39,6 @@ classes found here for every n <= 15.
 
 from __future__ import annotations
 
-import operator
-import os
-import pickle
-import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -49,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EnumerationTimeout, ResourceLimitError
+from .fork import fan_out, process_count
 from .groups import TABLE_DTYPE, FiniteGroup, _freeze
 from .iso import are_isomorphic, fingerprint
 
@@ -334,21 +332,6 @@ def _dedup_classes(
     return [G for key in sorted(buckets) for G in buckets[key]], timed_out
 
 
-def _process_count(workers) -> int:
-    """``workers`` clamped to the CPUs this process may run on, or 1 when
-    another thread runs, since a forked child could inherit a lock that
-    thread holds; a non-integer or a count below 1 is refused."""
-    try:
-        count = operator.index(workers)
-    except TypeError:
-        count = 0
-    if count < 1:
-        raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
-    if threading.active_count() > 1:
-        return 1
-    return min(count, len(os.sched_getaffinity(0)))
-
-
 def _search_share(
     n: int, deadline: float | None, claim: Callable[[], int] | None = None
 ):
@@ -368,94 +351,23 @@ def _flat(groups) -> list[tuple[int, ...]]:
     return [tuple(G.table.ravel().tolist()) for G in groups]
 
 
-def _run_child(
-    write: int, n: int, deadline: float | None, claim: Callable[[], int]
-) -> None:
-    """Run one share in a forked child and pickle ``("ok", (explored, flat
-    class tables, timed out))`` or ``("error", exception)`` into the pipe.
-    The child leaves through ``os._exit``, never into its caller's stack."""
-    code = 1
-    try:
-        try:
-            explored, groups, timed_out = _search_share(n, deadline, claim)
-            data = pickle.dumps(("ok", (explored, _flat(groups), timed_out)))
-        except BaseException as exc:
-            try:
-                data = pickle.dumps(("error", exc))
-                pickle.loads(data)
-            except Exception:
-                named = RuntimeError(
-                    f"enumeration worker raised {type(exc).__name__}: {exc}"
-                )
-                data = pickle.dumps(("error", named))
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(data)
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def _fan_out(n: int, deadline: float | None, processes: int):
-    """``_search_share`` over this process and ``processes - 1`` forked
-    children, which claim subtrees from one shared counter; the classes
-    they keep are merged here, and every child is reaped before this
-    returns or raises.  A class's least table is the least of the least
-    tables the processes kept for it, so the merge gives the serial result.
+    """``_search_share`` over ``processes`` processes through
+    :func:`fork.fan_out`, which claim subtrees from one shared counter; the
+    classes they keep are merged here.  A class's least table is the least
+    of the least tables the processes kept for it, so the merge gives the
+    serial result.
     """
-    # Imported here, so that only a fan-out pays for them.
-    import multiprocessing
-    import signal
 
-    counter = multiprocessing.get_context("fork").Value("q", 0)
-
-    def claim() -> int:
-        with counter.get_lock():
-            ticket = counter.value
-            counter.value = ticket + 1
-        return ticket
-
-    children = []
-    reaped = set()
-    try:
-        for _ in range(processes - 1):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                _run_child(write, n, deadline, claim)
-            os.close(write)
-            children.append((pid, os.fdopen(read, "rb")))
+    def share(claim: Callable[[], int]):
         explored, groups, timed_out = _search_share(n, deadline, claim)
-        tables = _flat(groups)
-        for pid, pipe in children:
-            data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            reaped.add(pid)
-            if not data:
-                raise RuntimeError(
-                    f"enumeration worker {pid} sent nothing (wait status {status})"
-                )
-            # The bytes come from a child forked off this process.
-            kind, share = pickle.loads(data)
-            if kind == "error":
-                raise share
-            explored += share[0]
-            tables += share[1]
-            timed_out = timed_out or share[2]
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            if pid not in reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        return explored, _flat(groups), timed_out
+
+    explored, tables, timed_out = zip(*fan_out(share, processes))
     # No deadline: the merge is over a few tables per class and process,
     # and a partial result holds every class some process finished.
-    groups, _ = _dedup_classes(tables, n)
-    return explored, groups, timed_out
+    groups, _ = _dedup_classes([flat for kept in tables for flat in kept], n)
+    return sum(explored), groups, any(timed_out)
 
 
 def enumerate_groups(
@@ -478,7 +390,7 @@ def enumerate_groups(
     raises; the output does not depend on it.
     """
     _check_order(n, enum_cap)
-    processes = _process_count(workers)
+    processes = process_count(workers)
     start = time.monotonic()
     deadline = start + timeout if timeout is not None else None
     if processes == 1:

@@ -14,6 +14,7 @@ from grpinv import classify, groups
 from grpinv.classify import Counterexample, VerificationReport
 from grpinv.cli import run
 from grpinv.density import approximate_beta
+from grpinv.errors import DomainError, ResourceLimitError
 
 INVARIANT_KEYS = {"group", "order", "i", "c", "r", "beta_num", "beta_den"}
 APPROX_KEYS = {
@@ -26,6 +27,16 @@ APPROX_KEYS = {
     "beta_den",
     "primes_scanned",
 }
+
+
+def _src_env() -> dict:
+    """The environment of a subprocess that imports grpinv from this checkout."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    return env
 
 
 def machine_lines(capsys):
@@ -80,17 +91,12 @@ def test_identify_builds_family_candidates_under_the_callers_cap(text, name, cap
 
 @pytest.mark.parametrize("module", ["grpinv", "grpinv.cli"])
 def test_python_dash_m_runs_the_cli(module, capsys):
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
-    )
     argv = ["--format", "machine", "identify", "D(6)"]
     proc = subprocess.run(
         [sys.executable, "-m", module, *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=_src_env(),
         timeout=120,
     )
     assert run(argv) == 0
@@ -124,6 +130,23 @@ def test_enumerate_runs_a_process_per_cpu_it_may_use(capsys, monkeypatch):
     assert run(["--format", "machine", "enumerate", "8"]) == 0
     assert seen == [3]
     assert machine_lines(capsys)[-1]["classes"] == 5
+
+
+def test_importing_the_cli_loads_no_fan_out_machinery():
+    # Only a fan-out that forks pays for multiprocessing and signal.
+    code = (
+        "import sys, grpinv, grpinv.cli; "
+        "print(sorted({'multiprocessing', 'signal'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_verify_theorem1_machine(capsys):
@@ -247,6 +270,103 @@ def test_verify_lemmas_default_caps(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "307123c866fbbf550d115ff0a6b33531d719f1bcf1ab7503f9688c35740c53d9"
     )
+
+
+LEMMAS_SMALL = ["--format", "machine", "--table-cap", "512", "--enum-cap", "8"]
+LEMMAS_SMALL += ["verify", "lemmas", "--max-order", "16"]
+
+
+@pytest.fixture
+def fork_spy(monkeypatch):
+    """The pids ``os.fork`` returns in this process, while the test runs."""
+    forked = []
+    real_fork = os.fork
+
+    def spy():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return forked
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_lemmas_reads_the_same_on_any_process_count(
+    fork_spy, monkeypatch, capsys
+):
+    # One process per CPU in use, claiming one sweep at a time; the
+    # reports come back in sweep order whoever ran them.
+    runs = []
+    for cpus in ({0}, {0, 1}, {0, 1, 2, 3}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        fork_spy.clear()
+        code = run(LEMMAS_SMALL)
+        runs.append((code, capsys.readouterr(), len(fork_spy)))
+        _assert_no_child_left()
+    assert [forks for _, _, forks in runs] == [0, 1, 3]
+    (code, captured, _), *others = runs
+    assert code == 0 and captured.err == ""
+    assert captured.out.count('"L4.2"') > 2
+    for other_code, other, _ in others:
+        assert (other_code, other.out, other.err) == (code, captured.out, captured.err)
+
+
+def test_a_lemma_failure_in_a_child_reads_as_in_a_serial_run(
+    monkeypatch, capsys, tmp_path
+):
+    def refuse(primes, **kwargs):
+        raise DomainError("no dihedral product here")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(classify, "check_lemma42", refuse)
+    serial = run(LEMMAS_SMALL), capsys.readouterr()
+    assert serial[0] == 2 and serial[1].out == ""
+
+    # Here only a child refuses.  The parent waits in its own first L4.2
+    # sweep until one has, so a child is sure to claim one meanwhile.
+    parent = os.getpid()
+    refused = tmp_path / "refused"
+    real = classify.check_lemma42
+
+    def refuse_in_a_child(primes, **kwargs):
+        if os.getpid() != parent:
+            refused.touch()
+            refuse(primes, **kwargs)
+        began = time.monotonic()
+        while not refused.exists() and time.monotonic() - began < 30:
+            time.sleep(0.01)
+        return real(primes, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(classify, "check_lemma42", refuse_in_a_child)
+    assert (run(LEMMAS_SMALL), capsys.readouterr()) == serial
+    assert refused.exists()
+    _assert_no_child_left()
+
+
+def test_the_first_failing_sweep_decides_on_any_process_count(monkeypatch, capsys):
+    # Two sweeps refuse; a serial run stops at the first, and so does a
+    # fan-out, whichever process ran either.
+    real = classify.check_lemma31a
+
+    def refuse_two(n, **kwargs):
+        if n in (3, 11):
+            raise ResourceLimitError(f"L3.1a refused at n = {n}")
+        return real(n, **kwargs)
+
+    monkeypatch.setattr(classify, "check_lemma31a", refuse_two)
+    for cpus in ({0}, {0, 1}, {0, 1, 2, 3}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        assert run(LEMMAS_SMALL) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: L3.1a refused at n = 3\n")
+        _assert_no_child_left()
 
 
 def test_approx_beta_machine(capsys):
@@ -542,16 +662,11 @@ def test_verify_lemmas_max_order_stops_at_the_table_cap(capsys):
     # L3.1a needs D_2n within the cap, so any --max-order past cap / 2 is 32.
     argv = ["--format", "machine", "--table-cap", "64", "--enum-cap", "8"]
     argv += ["verify", "lemmas", "--max-order"]
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
-    )
     proc = subprocess.run(
         [sys.executable, "-m", "grpinv", *argv, str(10**12)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_src_env(),
         timeout=60,
     )
     assert run([*argv, "32"]) == 0

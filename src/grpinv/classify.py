@@ -46,7 +46,7 @@ from .arith import euler_phi, factorize, iter_odd_primes, tau, unit_involutions
 from .catalog import catalog_group, generalized_dihedral
 from .density import selection_beta
 from .enumeration import DEFAULT_ENUM_CAP, all_groups_upto
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from .groups import (
     DEFAULT_TABLE_CAP,
     MAX_TABLE_ORDER,
@@ -348,8 +348,7 @@ def verify_semidirect_dichotomy(
     n: int, *, table_cap: int = DEFAULT_TABLE_CAP
 ) -> VerificationReport:
     """Z_n extended by Z_2 lands on Z2 x Zn or D2n when n = p^k or 2p^k."""
-    if 2 * n > table_cap:
-        raise ResourceLimitError(f"D_{2 * n} exceeds the table cap {table_cap}")
+    _check_cap(2 * n, table_cap)
     if n < 2 or not _is_odd_prime_power_or_twice(n):
         raise DomainError(
             f"n = {n} is not an odd prime power or twice one; the dichotomy "
@@ -365,7 +364,11 @@ def verify_semidirect_dichotomy(
             G,
             f"expected exactly two unit square roots mod {n}, got {units}",
         )
-    direct = direct_product(make_cyclic(2), make_cyclic(n), table_cap=table_cap)
+    direct = direct_product(
+        make_cyclic(2, table_cap=table_cap),
+        make_cyclic(n, table_cap=table_cap),
+        table_cap=table_cap,
+    )
     dihedral = make_dihedral(2 * n, table_cap=table_cap)
     witnesses = []
     for u, target, target_name in (
@@ -386,8 +389,7 @@ def verify_semidirect_dichotomy(
 
 def check_lemma31a(n: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> VerificationReport:
     """r(Z_n) and r(D_2n) both equal tau(n) minus 1 (odd n) or 2 (even n)."""
-    if 2 * n > table_cap:
-        raise ResourceLimitError(f"D_{2 * n} exceeds the table cap {table_cap}")
+    _check_cap(2 * n, table_cap)
     expected = tau(n) - (1 if n % 2 else 2)
     cyclic = make_cyclic(n, table_cap=table_cap)
     dihedral = make_dihedral(2 * n, table_cap=table_cap)

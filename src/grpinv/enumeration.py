@@ -22,14 +22,16 @@ keeps each group's generating sequence and fingerprint, so a comparison
 builds neither twice.
 
 Search and dedup are pure Python, so ``enumerate_groups(n, workers=k)``
-spreads them over processes, not threads: it forks ``k - 1`` children
-(``k`` clamped to the CPUs this process may run on) through
-``fork.fan_out``, whose docstring gives the fork, pipe and reaping
-protocol.  Every process walks the tree down to a fixed frontier depth
-and explores the subtrees below it whose tickets it claims from one
-shared counter, then deduplicates its own tables; the parent merges the
-classes.  A class's least table is the least of the processes' least
-tables, so the output does not depend on ``workers``.
+spreads them over processes, not threads.  Every call is one
+``fork.fan_out`` of ``_search_share`` over ``k`` processes (``k`` clamped
+to the CPUs this process may run on), this one and ``k - 1`` forked
+children; its docstring gives the fork, pipe and reaping protocol, and
+with ``k = 1`` the share runs here alone.  Every process walks the tree
+down to a fixed frontier depth and explores the subtrees below it whose
+tickets it claims from one shared counter, then deduplicates its own
+tables; one more ``_dedup_classes`` pass over the groups the processes
+kept merges their classes.  A class's least table is the least of the
+processes' least tables, so the output does not depend on ``workers``.
 
 Completeness is checked against ``catalog.builtin_catalog()``, which is
 built from closed-form constructors and shares no code with the
@@ -39,9 +41,11 @@ classes found here for every n <= 15.
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -131,14 +135,16 @@ def _search_tables(
     The partial table is kept as ``n`` row lists ``T[a][b]``, -1 for an
     empty cell; the trail and the propagation queue hold ``(a, b)`` cells.
 
-    With ``claim``, only some subtrees are explored.  Every process walks
-    the tree above ``_FRONTIER_DEPTH`` in the same order and numbers its
-    frontier nodes -- the nodes at that depth that pass the Lagrange cut,
-    and the complete tables above it -- 0, 1, 2, ...; it explores node k
-    only when it holds ticket k.  ``claim()`` returns the next unclaimed
-    ticket; a process takes one at the start and another after each
-    subtree it explores.
+    Only the subtrees ``claim`` hands out are explored; without it, all.
+    Every process walks the tree above ``_FRONTIER_DEPTH`` in the same
+    order and numbers its frontier nodes -- the nodes at that depth that
+    pass the Lagrange cut, and the complete tables above it -- 0, 1, 2,
+    ...; it explores node k only when it holds ticket k.  ``claim()``
+    returns the next unclaimed ticket; a process takes one at the start
+    and another after each subtree it explores.
     """
+    if claim is None:
+        claim = itertools.count().__next__
     cells = _staircase_cells(n)
     T = [[-1] * n for _ in range(n)]
     row_used = [0] * n
@@ -253,7 +259,7 @@ def _search_tables(
 
     total_cells = len(cells)
     frontier = -1
-    ticket = claim() if claim is not None else None
+    ticket = claim()
 
     def descend(ci: int, closed_upto: int, top: int, depth: int):
         # Every staircase shell below the first empty cell's is full, so
@@ -277,9 +283,7 @@ def _search_tables(
                 if top < 0:
                     return
                 closed_upto = shell - 1
-        gated = claim is not None and (
-            depth == _FRONTIER_DEPTH or leaf and depth < _FRONTIER_DEPTH
-        )
+        gated = depth == _FRONTIER_DEPTH or leaf and depth < _FRONTIER_DEPTH
         if gated:
             frontier += 1
             if frontier != ticket:
@@ -310,64 +314,45 @@ def _search_tables(
 
 
 def _dedup_classes(
-    tables: list[tuple[int, ...]], n: int, deadline: float | None = None
+    groups: list[FiniteGroup], deadline: float | None = None
 ) -> tuple[list[FiniteGroup], bool]:
-    """Collapse raw tables to one representative per isomorphism class,
-    keeping the lexicographically least table of each class.
+    """Collapse ``groups`` to one per isomorphism class, keeping the group
+    with the lexicographically least flat table of each class.
 
     Returns the classes and whether the deadline cut the pass short; the
-    classes are then those deduplicated before it passed.
+    classes are then those deduplicated before it passed.  ``groups`` is
+    emptied as it is read, so a group that joins no class is freed, with
+    its memo, once it has been compared.
     """
-    # Tables arrive in ascending order, so each bucket is too.
+    # Big-endian cells order as numbers do, so the groups are taken in
+    # ascending order of table, and each bucket is too.
+    groups.sort(key=lambda G: G.table.astype(">i2").tobytes(), reverse=True)
     buckets: dict[tuple, list[FiniteGroup]] = {}
     timed_out = False
-    for flat in sorted(set(tables)):
+    while groups:
         if deadline is not None and time.monotonic() > deadline:
             timed_out = True
             break
-        G = _freeze(np.array(flat, dtype=TABLE_DTYPE).reshape(n, n))
+        G = groups.pop()
         bucket = buckets.setdefault(fingerprint(G).sort_key(), [])
         if not any(are_isomorphic(existing, G) for existing in bucket):
             bucket.append(G)
     return [G for key in sorted(buckets) for G in buckets[key]], timed_out
 
 
-def _search_share(
-    n: int, deadline: float | None, claim: Callable[[], int] | None = None
-):
-    """Search the subtrees ``claim`` hands out (all without it) and dedup
-    their tables: ``(tables explored, classes, timed out)``."""
-    raw: list[tuple[int, ...]] = []
+def _search_share(n: int, deadline: float | None, claim: Callable[[], int]):
+    """Search the subtrees ``claim`` hands out and dedup their tables:
+    ``(tables explored, classes, timed out)``."""
+    tables: list[FiniteGroup] = []
     timed_out = False
     try:
-        raw.extend(_search_tables(n, deadline=deadline, claim=claim))
+        for flat in _search_tables(n, deadline=deadline, claim=claim):
+            tables.append(_freeze(np.array(flat, dtype=TABLE_DTYPE).reshape(n, n)))
     except _TimeoutSignal:
         timed_out = True
-    groups, dedup_timed_out = _dedup_classes(raw, n, deadline)
-    return len(raw), groups, timed_out or dedup_timed_out
-
-
-def _flat(groups) -> list[tuple[int, ...]]:
-    return [tuple(G.table.ravel().tolist()) for G in groups]
-
-
-def _fan_out(n: int, deadline: float | None, processes: int):
-    """``_search_share`` over ``processes`` processes through
-    :func:`fork.fan_out`, which claim subtrees from one shared counter; the
-    classes they keep are merged here.  A class's least table is the least
-    of the least tables the processes kept for it, so the merge gives the
-    serial result.
-    """
-
-    def share(claim: Callable[[], int]):
-        explored, groups, timed_out = _search_share(n, deadline, claim)
-        return explored, _flat(groups), timed_out
-
-    explored, tables, timed_out = zip(*fan_out(share, processes))
-    # No deadline: the merge is over a few tables per class and process,
-    # and a partial result holds every class some process finished.
-    groups, _ = _dedup_classes([flat for kept in tables for flat in kept], n)
-    return sum(explored), groups, any(timed_out)
+    explored = len(tables)
+    groups, dedup_timed_out = _dedup_classes(tables, deadline)
+    return explored, groups, timed_out or dedup_timed_out
 
 
 def enumerate_groups(
@@ -390,21 +375,26 @@ def enumerate_groups(
     raises; the output does not depend on it.
     """
     _check_order(n, enum_cap)
-    processes = process_count(workers)
     start = time.monotonic()
     deadline = start + timeout if timeout is not None else None
-    if processes == 1:
-        explored, groups, timed_out = _search_share(n, deadline)
-    else:
-        explored, groups, timed_out = _fan_out(n, deadline, processes)
+    shares = fan_out(partial(_search_share, n, deadline), process_count(workers))
+    explored, kept, timed_out = zip(*shares)
+    # This process's classes merge as they are, memo and all; a child's
+    # tables arrive unpickled and writable, so they are frozen again.  No
+    # deadline: the merge is over a few groups per class and process, and
+    # a partial result holds every class some process finished.
+    mine, *theirs = kept
+    groups, _ = _dedup_classes(
+        [*mine, *(_freeze(G.table) for share in theirs for G in share)]
+    )
     elapsed = time.monotonic() - start
     result = EnumerationResult(
         order=n,
         groups=tuple(groups),
-        tables_explored=explored,
+        tables_explored=sum(explored),
         elapsed=elapsed,
     )
-    if timed_out:
+    if any(timed_out):
         raise EnumerationTimeout(
             f"enumeration of order {n} timed out after {timeout}s", partial=result
         )

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from grpinv import classify
 from grpinv.catalog import builtin_catalog, catalog_group
 from grpinv.classify import (
     check_lemma31a,
@@ -166,6 +167,30 @@ def test_semidirect_dichotomy_checks_cap_before_unit_scan():
     with pytest.raises(ResourceLimitError):
         verify_semidirect_dichotomy(1000000007)
     assert time.monotonic() - start < 2.0
+    # Under a raised table cap, the int16 ceiling refuses 2 * 3^16 first.
+    start = time.monotonic()
+    with pytest.raises(ResourceLimitError, match="exceeds 32768"):
+        verify_semidirect_dichotomy(3**16, table_cap=10**8)
+    assert time.monotonic() - start < 2.0
+    with pytest.raises(ResourceLimitError, match="^group order 22 exceeds the table cap 20$"):
+        check_lemma31a(11, table_cap=20)
+
+
+def test_semidirect_dichotomy_passes_its_table_cap_on(monkeypatch):
+    caps = []
+
+    def spy(build):
+        def built(*args, **kwargs):
+            caps.append((build.__name__, kwargs.get("table_cap")))
+            return build(*args, **kwargs)
+
+        return built
+
+    for name in ("make_cyclic", "make_dihedral", "direct_product", "semidirect_zn_z2"):
+        monkeypatch.setattr(classify, name, spy(getattr(classify, name)))
+    assert verify_semidirect_dichotomy(5, table_cap=10).ok
+    assert len(caps) == 6
+    assert all(cap == 10 for _, cap in caps), caps
 
 
 def test_lemma31a_examples():

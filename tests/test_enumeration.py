@@ -8,7 +8,7 @@ import types
 import numpy as np
 import pytest
 
-from grpinv import enumeration
+from grpinv import enumeration, iso
 from grpinv.catalog import builtin_catalog
 from grpinv.enumeration import (
     EnumerationResult,
@@ -18,7 +18,7 @@ from grpinv.enumeration import (
 )
 from grpinv.errors import DomainError, EnumerationTimeout, ResourceLimitError
 from grpinv.groups import invariants, make_dicyclic, verify_axioms
-from grpinv.iso import are_isomorphic, identify
+from grpinv.iso import are_isomorphic, fingerprint, identify
 
 
 def test_census_orders_1_to_12():
@@ -168,14 +168,15 @@ def test_claimed_subtrees_partition_the_search():
     assert even and odd  # at order 12 both claimants get tables
 
 
-def test_more_processes_than_cpus_split_the_search_exactly():
+def test_more_processes_than_cpus_split_the_search_exactly(monkeypatch):
     # A lost or doubled ticket would drop or repeat a subtree's tables.
+    serial = {n: enumerate_groups(n) for n in (8, 12)}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     for n in (8, 12):
-        serial = enumerate_groups(n)
-        explored, groups, timed_out = enumeration._fan_out(n, None, 4)
-        assert (explored, timed_out) == (serial.tables_explored, False)
-        assert [G.table.tolist() for G in groups] == [
-            G.table.tolist() for G in serial.groups
+        split = enumerate_groups(n, workers=4)
+        assert split.tables_explored == serial[n].tables_explored
+        assert [G.table.tolist() for G in split.groups] == [
+            G.table.tolist() for G in serial[n].groups
         ]
     _assert_no_child_left()
 
@@ -234,6 +235,38 @@ def test_no_child_outlives_a_return_or_a_timeout(two_cpus, monkeypatch):
     for G in partial.groups:
         assert sum(are_isomorphic(G, H) is not None for H in full.groups) == 1
         assert sum(are_isomorphic(G, H) is not None for H in partial.groups) == 1
+
+
+def test_a_fan_out_builds_each_chain_once(two_cpus, monkeypatch):
+    # The parent's own classes reach the merge with their memo, so no table
+    # has its generating sequence built twice in the parent; a child's
+    # classes are frozen again on arrival.
+    for entry in builtin_catalog():
+        fingerprint(entry.group)
+    built = []
+    forks = []
+    real_generating_sequence = iso._generating_sequence
+    real_fork = os.fork
+
+    def counting(G):
+        built.append(G.table.tobytes())
+        return real_generating_sequence(G)
+
+    def counting_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(iso, "_generating_sequence", counting)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    result = enumerate_groups(16, workers=2)
+    _assert_no_child_left()
+    assert len(forks) == 1
+    assert len(result.groups) == known_census[15]
+    assert built and len(built) == len(set(built))
+    built.clear()
+    assert [identify(G) for G in result.groups].count(None) == 4
+    assert built == []
+    assert not any(G.table.flags.writeable for G in result.groups)
 
 
 class _WorkerFailure(Exception):

@@ -17,8 +17,8 @@ import random
 import sys
 from fractions import Fraction
 
-from grpinv.arith import iter_odd_primes
-from grpinv.density import approximate_beta
+from grpinv.arith import DEFAULT_PRIME_CAP
+from grpinv.density import _log_floor, approximate_beta
 from grpinv.errors import ConvergenceError
 
 
@@ -29,13 +29,13 @@ def main() -> int:
     parser.add_argument("--eps", type=Fraction, default="0.0001")
     parser.add_argument("--low", type=Fraction, default="0.05")
     parser.add_argument("--high", type=Fraction, default="0.99")
-    parser.add_argument("--prime-cap", type=int, default=10**6)
+    parser.add_argument("--prime-cap", type=int, default=DEFAULT_PRIME_CAP)
     parser.add_argument("--seed", type=int, default=20250818)
     args = parser.parse_args()
 
     eps, low, high = args.eps, args.low, args.high
 
-    series = sum(math.log1p(1.0 / (p + 1)) for p in iter_odd_primes(args.prime_cap))
+    series = _log_floor(args.prime_cap)
     floor = math.exp(-series)
     print(f"available log series up to {args.prime_cap}: {series:.6f}")
     print(f"=> smallest reachable target: {floor:.6f}\n")

@@ -10,6 +10,7 @@ Subcommands::
     verify theorem23 --r {1,2,4} --max-order N
     verify theorem24 --n INT               the Z_n x| Z_2 dichotomy
     verify lemmas    --max-order N         L2.1, L3.1a/b, L4.1, L4.2 sweeps
+    verify all       --max-order N         every claim above, and case f
     approx-beta <t> --eps E [--materialize]
 
 Output is a human-readable table by default; ``--format machine`` emits
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -43,7 +43,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .expr import evaluate, parse_group_expr
-from .fork import fan_out
+from .fork import cpus_in_use, fan_out
 from .groups import DEFAULT_TABLE_CAP, MAX_TABLE_ORDER, _check_cap, invariants
 from .iso import identify
 
@@ -56,6 +56,9 @@ EXIT_RESOURCE = 3
 
 #: Seed for the randomized lemma-4.1 sweep; fixed so CLI output is stable.
 _L41_SEED = 20250525
+
+#: The n that ``verify all`` checks T2.4 at: odd prime powers, then twice one.
+_T24_ALL = (3, 5, 9, 25, 27, 49, 6, 10, 18)
 
 
 def _global_flags(defaults: bool) -> argparse.ArgumentParser:
@@ -113,6 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("theorem24", parents=[tail])
     p.add_argument("--n", type=int, required=True)
     p = vsub.add_parser("lemmas", parents=[tail])
+    p.add_argument("--max-order", type=int, default=12)
+    p = vsub.add_parser("all", parents=[tail])
     p.add_argument("--max-order", type=int, default=12)
 
     p = sub.add_parser(
@@ -206,9 +211,7 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    result = enumerate_groups(
-        args.n, enum_cap=args.enum_cap, workers=len(os.sched_getaffinity(0))
-    )
+    result = enumerate_groups(args.n, enum_cap=args.enum_cap, workers=cpus_in_use())
     if args.format != "machine":
         print(
             f"order {result.order}: {len(result.groups)} isomorphism classes "
@@ -299,13 +302,50 @@ def _run_tasks(tasks) -> list:
                 break
         return outcomes
 
-    shares = fan_out(share, len(os.sched_getaffinity(0)))
+    shares = fan_out(share, cpus_in_use())
     results = []
     for _, result, exc in sorted(chain.from_iterable(shares), key=itemgetter(0)):
         if exc is not None:
             raise exc
         results.append(result)
     return results
+
+
+def _all_reports(args) -> list:
+    """Every claim's reports in one run, each list built by the function
+    its own subcommand uses, at these flags."""
+
+    def reports(claim, **fields):
+        return _CLAIM_REPORTS[claim](argparse.Namespace(**vars(args), **fields))
+
+    found = reports("theorem1") + reports("theorem22")
+    for r in (1, 2, 4):
+        found += reports("theorem23", r=r)
+    for n in _T24_ALL:
+        found += reports("theorem24", n=n)
+    if args.max_order >= 12:
+        # A claim about order 12 alone, which no other subcommand runs.
+        found.append(classify.order12_case_f_report(enum_cap=args.enum_cap))
+    return found + reports("lemmas")
+
+
+#: Each ``verify`` claim's reports, from its parsed arguments.
+_CLAIM_REPORTS = {
+    "theorem1": lambda args: list(
+        classify.verify_theorem1(args.max_order, enum_cap=args.enum_cap)
+    ),
+    "theorem22": lambda args: [
+        classify.verify_involution_threshold(args.max_order, enum_cap=args.enum_cap)
+    ],
+    "theorem23": lambda args: [
+        classify.verify_c_order_deficit(args.r, args.max_order, enum_cap=args.enum_cap)
+    ],
+    "theorem24": lambda args: [
+        classify.verify_semidirect_dichotomy(args.n, table_cap=args.table_cap)
+    ],
+    "lemmas": _lemma_reports,
+    "all": _all_reports,
+}
 
 
 def _cmd_verify(args) -> int:
@@ -315,28 +355,7 @@ def _cmd_verify(args) -> int:
         for flag, bound in bounds:
             if bound < 1:
                 raise DomainError(f"{flag} must be >= 1, got {bound}")
-    if args.claim == "theorem1":
-        reports = list(
-            classify.verify_theorem1(args.max_order, enum_cap=args.enum_cap)
-        )
-    elif args.claim == "theorem22":
-        reports = [
-            classify.verify_involution_threshold(
-                args.max_order, enum_cap=args.enum_cap
-            )
-        ]
-    elif args.claim == "theorem23":
-        reports = [
-            classify.verify_c_order_deficit(
-                args.r, args.max_order, enum_cap=args.enum_cap
-            )
-        ]
-    elif args.claim == "theorem24":
-        reports = [
-            classify.verify_semidirect_dichotomy(args.n, table_cap=args.table_cap)
-        ]
-    else:
-        reports = _lemma_reports(args)
+    reports = _CLAIM_REPORTS[args.claim](args)
     for report in reports:
         _print_report(args, report)
     return _reports_exit(reports)

@@ -37,21 +37,34 @@ from typing import TypeVar
 
 from .errors import DomainError
 
-__all__ = ["fan_out", "process_count"]
+__all__ = ["cpus_in_use", "fan_out", "process_count"]
 
 R = TypeVar("R")
 
 
+def cpus_in_use() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else every CPU; 1 where ``os.fork`` does not exist,
+    since no second process could be started."""
+    if not hasattr(os, "fork"):
+        return 1
+    # Looked up on each call, as ``os.sched_getaffinity`` is Linux-only.
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None:
+        return os.cpu_count() or 1
+    return len(affinity(0))
+
+
 def process_count(workers) -> int:
-    """``workers`` clamped to the CPUs this process may run on; a
-    non-integer or a count below 1 is refused."""
+    """``workers`` clamped to :func:`cpus_in_use`; a non-integer or a
+    count below 1 is refused."""
     try:
         count = operator.index(workers)
     except TypeError:
         count = 0
     if count < 1:
         raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
-    return min(count, len(os.sched_getaffinity(0)))
+    return min(count, cpus_in_use())
 
 
 def _run_child(write: int, share: Callable, claim: Callable[[], int]) -> None:

@@ -1,11 +1,7 @@
-import os
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from math import gcd, prod
-from pathlib import Path
 
 import pytest
 
@@ -388,42 +384,3 @@ def test_counterexample_reports_carry_tables():
     assert len(table) == 16 and len(table[0]) == 16
     rebuilt = [list(row) for row in table]
     assert rebuilt[1][1] == 2
-
-
-@pytest.mark.parametrize(
-    "script, expected, max_order",
-    [
-        pytest.param("verify_all.py", "0 failures", 8, id="verify_all.py-0 failures"),
-        pytest.param(
-            "census_timing.py",
-            "order   8:   5 classes",
-            8,
-            id="census_timing.py-order   8:   5 classes",
-        ),
-        # above the default enumeration cap of 16
-        pytest.param(
-            "verify_all.py",
-            "[L2.1] all orders <= 17",
-            17,
-            id="verify_all.py-max-order 17",
-        ),
-    ],
-)
-def test_scripts_run_at_a_small_order(script, expected, max_order):
-    # verify_all builds its SD groups through the split-extension builder.
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
-    )
-    script_path = str(root / "scripts" / script)
-    proc = subprocess.run(
-        [sys.executable, script_path, "--max-order", str(max_order)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert expected in proc.stdout
-    assert "XX " not in proc.stdout and "!!" not in proc.stdout

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from grpinv import classify, groups
+from grpinv import classify, cli, groups
 from grpinv.classify import Counterexample, VerificationReport
 from grpinv.cli import run
 from grpinv.density import approximate_beta
@@ -254,6 +255,46 @@ def test_verify_lemmas_machine_schema(capsys):
         assert r["status"] == "verified"
 
 
+def test_verify_all_at_a_small_order_verifies_every_record(capsys):
+    assert run(["--format", "machine", "verify", "all", "--max-order", "8"]) == 0
+    records = machine_lines(capsys)
+    assert all(r["status"] == "verified" for r in records)
+    claims = {r["claim"] for r in records}
+    assert {"T1.1-r0", "T2.2", "T2.3-r4", "T2.4", "L2.1", "L4.2"} <= claims
+    # Case f is a claim about order 12, so a sweep to 8 leaves it out.
+    assert not any(r["scope"].startswith("order 12") for r in records)
+
+
+def test_verify_all_above_the_default_enum_cap(capsys):
+    argv = ["--format", "machine", "--enum-cap", "17", "--table-cap", "512"]
+    assert run([*argv, "verify", "all", "--max-order", "17"]) == 0
+    records = machine_lines(capsys)
+    assert all(r["status"] == "verified" for r in records)
+    (l21,) = [r for r in records if r["claim"] == "L2.1"]
+    assert l21["scope"].startswith("all orders <= 17")
+
+
+def test_verify_all_is_every_claim_in_one_run(capsys):
+    # One path: the records of each subcommand at the same flags, in turn,
+    # with case f's record after T2.4's.
+    flags = ["--format", "machine", "--table-cap", "512"]
+
+    def stdout(*claim):
+        assert run([*flags, "verify", *claim]) == 0
+        return capsys.readouterr().out
+
+    top = ["--max-order", "12"]
+    expected = stdout("theorem1", *top) + stdout("theorem22", *top)
+    for r in ("1", "2", "4"):
+        expected += stdout("theorem23", "--r", r, *top)
+    for n in (3, 5, 9, 25, 27, 49, 6, 10, 18):
+        expected += stdout("theorem24", "--n", str(n))
+    case_f = classify.order12_case_f_report()
+    cli._print_report(argparse.Namespace(format="machine"), case_f)
+    expected += capsys.readouterr().out + stdout("lemmas", *top)
+    assert stdout("all", *top) == expected
+
+
 @pytest.mark.slow
 def test_verify_lemmas_default_caps(capsys):
     # the full sweep: L3.1a to 128, every dihedral prime subset up to 4096
@@ -367,6 +408,26 @@ def test_the_first_failing_sweep_decides_on_any_process_count(monkeypatch, capsy
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: L3.1a refused at n = 3\n")
         _assert_no_child_left()
+
+
+def test_the_cli_reads_the_same_without_sched_getaffinity(
+    fork_spy, monkeypatch, capsys
+):
+    # os.sched_getaffinity is Linux-only; elsewhere the CPU count comes from
+    # os.cpu_count, here pinned to 2 so that enumerate forks one child.
+    commands = (["verify", "theorem1"], ["enumerate", "8"])
+    outputs = []
+    for command in commands:
+        assert run(["--format", "machine", *command]) == 0
+        outputs.append(capsys.readouterr())
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    fork_spy.clear()
+    for command, output in zip(commands, outputs):
+        assert run(["--format", "machine", *command]) == 0
+        assert capsys.readouterr() == output
+    assert len(fork_spy) == 1
+    _assert_no_child_left()
 
 
 def test_approx_beta_machine(capsys):
@@ -578,6 +639,8 @@ def test_verify_refuses_a_bound_below_one_before_any_work(monkeypatch, capsys):
         "verify_c_order_deficit",
         "check_unique_cyclic_normality",
         "check_lemma31a",
+        "order12_case_f_report",
+        "verify_semidirect_dichotomy",
     ):
         monkeypatch.setattr(classify, name, refuse)
     for argv, flag in (
@@ -587,6 +650,8 @@ def test_verify_refuses_a_bound_below_one_before_any_work(monkeypatch, capsys):
         (["verify", "lemmas", "--max-order", "0"], "--max-order"),
         (["verify", "lemmas", "--enum-cap", "0"], "--enum-cap"),
         (["--enum-cap", "-1", "verify", "theorem1"], "--enum-cap"),
+        (["verify", "all", "--max-order", "0"], "--max-order"),
+        (["--enum-cap", "0", "verify", "all"], "--enum-cap"),
     ):
         assert run(argv) == 2, argv
         captured = capsys.readouterr()
@@ -597,6 +662,9 @@ def test_exit_resource_errors(capsys):
     assert run(["enumerate", "20"]) == 3
     assert run(["--table-cap", "64", "invariants", "Z(100)"]) == 3
     assert run(["approx-beta", "0.5", "--eps", "0.001", "--prime-cap", "10"]) == 3
+    # verify all keeps the enumeration cap; it does not lift it to --max-order.
+    assert run(["verify", "all", "--max-order", "17"]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_semidirect_expr_over_cap_exits_fast(capsys):

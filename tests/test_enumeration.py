@@ -8,7 +8,7 @@ import types
 import numpy as np
 import pytest
 
-from grpinv import enumeration, iso
+from grpinv import enumeration, fork, iso
 from grpinv.catalog import builtin_catalog
 from grpinv.enumeration import (
     EnumerationResult,
@@ -134,6 +134,15 @@ def test_workers_are_clamped_to_the_cpus_in_use(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "fork", refuse)
     assert len(enumerate_groups(12, workers=10**6).groups) == known_census[11]
+
+
+def test_a_platform_without_fork_runs_the_census_here(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.delattr(os, "sched_getaffinity")
+        assert fork.cpus_in_use() == (os.cpu_count() or 1)
+    monkeypatch.delattr(os, "fork")
+    assert fork.cpus_in_use() == 1
+    assert len(enumerate_groups(12, workers=2).groups) == known_census[11]
 
 
 def test_no_fork_while_another_thread_runs(monkeypatch):
@@ -459,6 +468,18 @@ def test_raw_search_is_pinned(orders_17_to_20):
     assert _search_digest(enumeration._search_tables(16)) == SEARCH_DIGESTS[16]
     assert digests[18] == SEARCH_DIGESTS[18]
     assert digests[20] == SEARCH_DIGESTS[20]
+
+
+def test_every_class_to_20_meets_the_order_bounds(orders_17_to_20):
+    # c - i <= |G| - c, and |G| <= 4 (|G| - i) unless G is an elementary
+    # abelian 2-group (i = |G|): the algebra behind "order <= 8r".
+    results, _ = orders_17_to_20
+    by_order = {**all_groups_upto(16), **results}
+    for n in range(1, 21):
+        for G in by_order[n].groups:
+            inv = invariants(G)
+            assert inv.c - inv.i <= n - inv.c, (n, inv)
+            assert inv.i == n or n <= 4 * (n - inv.i), (n, inv)
 
 
 @pytest.mark.slow

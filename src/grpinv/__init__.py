@@ -31,6 +31,7 @@ from .classify import (
     theorem1_families,
     verify_c_order_deficit,
     verify_involution_threshold,
+    verify_lemmas,
     verify_semidirect_dichotomy,
     verify_theorem1,
 )

@@ -39,18 +39,22 @@ L4.2
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
 
 from .arith import euler_phi, factorize, iter_odd_primes, tau, unit_involutions
-from .catalog import catalog_group, generalized_dihedral
+from .catalog import builtin_catalog, catalog_group, generalized_dihedral
 from .density import selection_beta
 from .enumeration import DEFAULT_ENUM_CAP, all_groups_upto
 from .errors import DomainError
+from .fork import run_in_order
 from .groups import (
     DEFAULT_TABLE_CAP,
     MAX_TABLE_ORDER,
     FiniteGroup,
+    GroupInvariants,
     _check_cap,
     _powers,
     dihedral_product,
@@ -82,6 +86,7 @@ __all__ = [
     "check_lemma42",
     "check_unique_cyclic_normality",
     "dihedral_prime_subsets",
+    "verify_lemmas",
     "order12_case_f_report",
 ]
 
@@ -115,7 +120,7 @@ class VerificationReport:
     claim: str
     scope: str
     status: str  # "verified" | "counterexample"
-    witnesses: tuple[tuple[str, "GroupInvariants"], ...] = ()
+    witnesses: tuple[tuple[str, GroupInvariants], ...] = ()
     counterexample: Counterexample | None = None
 
     def __post_init__(self):
@@ -518,6 +523,50 @@ def check_unique_cyclic_normality(
         scope=f"{scope} ({checked} unique cyclic subgroups checked)",
         status="verified",
     )
+
+
+#: Seed for the randomized lemma-4.1 sweep; fixed so the reports are stable.
+_L41_SEED = 20250525
+
+
+def verify_lemmas(
+    max_order: int,
+    *,
+    table_cap: int = DEFAULT_TABLE_CAP,
+    enum_cap: int = DEFAULT_ENUM_CAP,
+) -> list[VerificationReport]:
+    """The lemma sweeps' reports, in order: L2.1 on every enumerated group
+    of order <= ``min(max_order, enum_cap)``; L3.1a for n <= ``min(max_order,
+    table_cap // 2)``; L3.1b, and L4.1 on 100 seeded coprime pairs, over the
+    catalog groups whose products fit ``table_cap``; L4.2 on every
+    :func:`dihedral_prime_subsets` set.  They run through ``fork.run_in_order``.
+    A ``table_cap`` below 1, or a table above ``MAX_TABLE_ORDER``, is
+    refused before any sweep runs."""
+    if table_cap < 1:
+        raise DomainError(f"table cap must be >= 1, got {table_cap}")
+    sizes = range(1, min(max_order, table_cap // 2) + 1)
+    # L3.1a's D_2n come first; dihedral_prime_subsets checks L4.2's.
+    if len(sizes) > MAX_TABLE_ORDER // 2:
+        _check_cap(2 * sizes[MAX_TABLE_ORDER // 2], table_cap)
+    subsets = dihedral_prime_subsets(table_cap)
+    l21_order = min(max_order, enum_cap)
+    tasks = [partial(check_unique_cyclic_normality, l21_order, enum_cap=enum_cap)]
+    tasks += [partial(check_lemma31a, n, table_cap=table_cap) for n in sizes]
+    catalog = [entry.group for entry in builtin_catalog()]
+    for H in catalog:
+        if 2 * H.order <= table_cap:
+            tasks.append(partial(check_lemma31b, H, table_cap=table_cap))
+    pairs = [
+        (G, H)
+        for G in catalog
+        for H in catalog
+        if gcd(G.order, H.order) == 1 and G.order * H.order <= table_cap
+    ]
+    rng = random.Random(_L41_SEED)
+    for _ in range(100):
+        tasks.append(partial(check_lemma41, *rng.choice(pairs), table_cap=table_cap))
+    tasks += [partial(check_lemma42, subset, table_cap=table_cap) for subset in subsets]
+    return run_in_order(tasks)
 
 
 def order12_case_f_report(*, enum_cap: int = DEFAULT_ENUM_CAP) -> VerificationReport:

@@ -13,6 +13,10 @@ Subcommands::
     verify all       --max-order N         every claim above, and case f
     approx-beta <t> --eps E [--materialize]
 
+The CLI only parses and prints.  ``classify`` decides what a claim checks
+(the lemma sweeps are ``classify.verify_lemmas``, run through
+``fork.run_in_order``); ``fork.fan_out`` decides how many processes run.
+
 Output is a human-readable table by default; ``--format machine`` emits
 one flat JSON record per line.  Exit codes: 0 success, 1 a verification
 found a counterexample, 2 usage/parse errors, 3 resource or convergence
@@ -23,13 +27,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
-from functools import partial
-from itertools import chain
-from math import gcd
-from operator import itemgetter
 
 from . import classify, density
 from .arith import DEFAULT_PRIME_CAP, literal_excerpt, rational_from_decimal
@@ -43,8 +42,8 @@ from .errors import (
     ResourceLimitError,
 )
 from .expr import evaluate, parse_group_expr
-from .fork import cpus_in_use, fan_out
-from .groups import DEFAULT_TABLE_CAP, MAX_TABLE_ORDER, _check_cap, invariants
+from .fork import cpus_in_use
+from .groups import DEFAULT_TABLE_CAP, invariants
 from .iso import identify
 
 __all__ = ["build_parser", "run", "main"]
@@ -53,9 +52,6 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-#: Seed for the randomized lemma-4.1 sweep; fixed so CLI output is stable.
-_L41_SEED = 20250525
 
 #: The n that ``verify all`` checks T2.4 at: odd prime powers, then twice one.
 _T24_ALL = (3, 5, 9, 25, 27, 49, 6, 10, 18)
@@ -106,19 +102,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="check a classification claim", parents=[tail])
     vsub = v.add_subparsers(dest="claim", required=True)
-    p = vsub.add_parser("theorem1", parents=[tail])
-    p.add_argument("--max-order", type=int, default=12)
-    p = vsub.add_parser("theorem22", parents=[tail])
-    p.add_argument("--max-order", type=int, default=12)
-    p = vsub.add_parser("theorem23", parents=[tail])
-    p.add_argument("--r", type=int, choices=(1, 2, 4), required=True)
-    p.add_argument("--max-order", type=int, default=12)
-    p = vsub.add_parser("theorem24", parents=[tail])
-    p.add_argument("--n", type=int, required=True)
-    p = vsub.add_parser("lemmas", parents=[tail])
-    p.add_argument("--max-order", type=int, default=12)
-    p = vsub.add_parser("all", parents=[tail])
-    p.add_argument("--max-order", type=int, default=12)
+    swept = argparse.ArgumentParser(add_help=False)
+    swept.add_argument("--max-order", type=int, default=12)
+    claims = {
+        claim: vsub.add_parser(
+            claim, parents=[tail] if claim == "theorem24" else [tail, swept]
+        )
+        for claim in _CLAIM_REPORTS
+    }
+    claims["theorem23"].add_argument("--r", type=int, choices=(1, 2, 4), required=True)
+    claims["theorem24"].add_argument("--n", type=int, required=True)
 
     p = sub.add_parser(
         "approx-beta", help="greedy dihedral-product beta target", parents=[tail]
@@ -246,71 +239,6 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _lemma_reports(args) -> list:
-    cap = args.table_cap
-    sizes = range(1, min(args.max_order, cap // 2) + 1)
-    # A table above the int16 ceiling is refused before any sweep runs, at
-    # the first one the sweeps would build: L3.1a's D_2n, then L4.2's.
-    if len(sizes) > MAX_TABLE_ORDER // 2:
-        _check_cap(2 * sizes[MAX_TABLE_ORDER // 2], cap)
-    subsets = classify.dihedral_prime_subsets(cap)
-    tasks = [
-        partial(
-            classify.check_unique_cyclic_normality,
-            min(args.max_order, args.enum_cap),
-            enum_cap=args.enum_cap,
-        )
-    ]
-    for n in sizes:
-        tasks.append(partial(classify.check_lemma31a, n, table_cap=cap))
-    catalog = builtin_catalog()
-    for entry in catalog:
-        if 2 * entry.group.order <= cap:
-            tasks.append(partial(classify.check_lemma31b, entry.group, table_cap=cap))
-    rng = random.Random(_L41_SEED)
-    coprime_pairs = [
-        (a, b)
-        for a in catalog
-        for b in catalog
-        if gcd(a.group.order, b.group.order) == 1
-        and a.group.order * b.group.order <= cap
-    ]
-    for _ in range(100):
-        a, b = rng.choice(coprime_pairs)
-        tasks.append(partial(classify.check_lemma41, a.group, b.group, table_cap=cap))
-    for subset in subsets:
-        tasks.append(partial(classify.check_lemma42, subset, table_cap=cap))
-    return _run_tasks(tasks)
-
-
-def _run_tasks(tasks) -> list:
-    """Every task's result in task order, over every CPU this process may
-    run on; a process claims one task index at a time.
-
-    A process stops at its first task that raises.  Every task before the
-    least index that raised was claimed and run, so that task's exception,
-    raised here, is the one a serial run would raise.
-    """
-
-    def share(claim):
-        outcomes = []
-        while (k := claim()) < len(tasks):
-            try:
-                outcomes.append((k, tasks[k](), None))
-            except Exception as exc:
-                outcomes.append((k, None, exc))
-                break
-        return outcomes
-
-    shares = fan_out(share, cpus_in_use())
-    results = []
-    for _, result, exc in sorted(chain.from_iterable(shares), key=itemgetter(0)):
-        if exc is not None:
-            raise exc
-        results.append(result)
-    return results
-
-
 def _all_reports(args) -> list:
     """Every claim's reports in one run, each list built by the function
     its own subcommand uses, at these flags."""
@@ -343,7 +271,9 @@ _CLAIM_REPORTS = {
     "theorem24": lambda args: [
         classify.verify_semidirect_dichotomy(args.n, table_cap=args.table_cap)
     ],
-    "lemmas": _lemma_reports,
+    "lemmas": lambda args: classify.verify_lemmas(
+        args.max_order, table_cap=args.table_cap, enum_cap=args.enum_cap
+    ),
     "all": _all_reports,
 }
 
@@ -418,24 +348,23 @@ def _cmd_approx_beta(args) -> int:
     return EXIT_OK
 
 
+#: Each subcommand's handler, from its parsed arguments to an exit code.
+_COMMANDS = {
+    "invariants": _cmd_invariants,
+    "identify": _cmd_identify,
+    "enumerate": _cmd_enumerate,
+    "verify": _cmd_verify,
+    "approx-beta": _cmd_approx_beta,
+}
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        if args.command == "invariants":
-            return _cmd_invariants(args)
-        if args.command == "identify":
-            return _cmd_identify(args)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "approx-beta":
-            return _cmd_approx_beta(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except (ParseError, DomainError, InvalidGroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -453,7 +382,6 @@ def run(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    return EXIT_USAGE
 
 
 def main() -> None:

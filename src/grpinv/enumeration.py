@@ -42,6 +42,7 @@ classes found here for every n <= 15.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -50,7 +51,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError, EnumerationTimeout, ResourceLimitError
-from .fork import fan_out, process_count
+from .fork import fan_out
 from .groups import TABLE_DTYPE, FiniteGroup, _freeze
 from .iso import are_isomorphic, fingerprint
 
@@ -375,9 +376,15 @@ def enumerate_groups(
     raises; the output does not depend on it.
     """
     _check_order(n, enum_cap)
+    try:
+        processes = operator.index(workers)
+    except TypeError:
+        processes = 0
+    if processes < 1:
+        raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
     start = time.monotonic()
     deadline = start + timeout if timeout is not None else None
-    shares = fan_out(partial(_search_share, n, deadline), process_count(workers))
+    shares = fan_out(partial(_search_share, n, deadline), processes)
     explored, kept, timed_out = zip(*shares)
     # This process's classes merge as they are, memo and all; a child's
     # tables arrive unpickled and writable, so they are frozen again.  No

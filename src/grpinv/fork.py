@@ -3,9 +3,11 @@
 The census search and the ``verify lemmas`` sweeps are pure Python, so
 they spread over processes, not threads.  :func:`fan_out` runs
 ``share(claim)`` in this process and in ``processes - 1`` children forked
-off it.  ``claim()`` hands out tickets 0, 1, 2, ... from one counter in
-shared memory, each to exactly one caller, so the processes split the
-work as they go; a share takes tickets until they run past its work.
+off it; it alone decides how many processes run, clamping ``processes``
+to :func:`cpus_in_use`.  ``claim()`` hands out tickets 0, 1, 2, ... from
+one counter in shared memory, each to exactly one caller, so the
+processes split the work as they go; a share takes tickets until they
+run past its work.
 
 The protocol, for every caller:
 
@@ -27,17 +29,15 @@ forks, so importing grpinv pays for neither.
 
 from __future__ import annotations
 
-import itertools
-import operator
 import os
 import pickle
 import threading
 from collections.abc import Callable
+from itertools import chain, count
+from operator import itemgetter
 from typing import TypeVar
 
-from .errors import DomainError
-
-__all__ = ["cpus_in_use", "fan_out", "process_count"]
+__all__ = ["cpus_in_use", "fan_out", "run_in_order"]
 
 R = TypeVar("R")
 
@@ -53,18 +53,6 @@ def cpus_in_use() -> int:
     if affinity is None:
         return os.cpu_count() or 1
     return len(affinity(0))
-
-
-def process_count(workers) -> int:
-    """``workers`` clamped to :func:`cpus_in_use`; a non-integer or a
-    count below 1 is refused."""
-    try:
-        count = operator.index(workers)
-    except TypeError:
-        count = 0
-    if count < 1:
-        raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
-    return min(count, cpus_in_use())
 
 
 def _run_child(write: int, share: Callable, claim: Callable[[], int]) -> None:
@@ -93,11 +81,13 @@ def fan_out(share: Callable[[Callable[[], int]], R], processes: int) -> list[R]:
     children, all claiming tickets from one counter: the shares' results,
     this process's first and then the children's in the order forked.
 
-    With one process, or while another thread runs, the share runs here
-    alone and claims every ticket in turn.
+    ``processes`` is clamped to :func:`cpus_in_use`.  With one process or
+    fewer, or while another thread runs, the share runs here alone and
+    claims every ticket in turn.
     """
-    if processes == 1 or threading.active_count() > 1:
-        return [share(itertools.count().__next__)]
+    processes = min(processes, cpus_in_use())
+    if processes <= 1 or threading.active_count() > 1:
+        return [share(count().__next__)]
     # Imported here, so that only a fan-out pays for them.
     import multiprocessing
     import signal
@@ -145,4 +135,30 @@ def fan_out(share: Callable[[Callable[[], int]], R], processes: int) -> list[R]:
             if pid not in reaped:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+    return results
+
+
+def run_in_order(tasks: list[Callable[[], R]]) -> list[R]:
+    """Every task's result in task order, over one process per task as
+    :func:`fan_out` clamps it, each claiming one task index at a time.  A
+    process stops at its first task that raises.  Every task before the
+    least index that raised was claimed and run, so that task's exception,
+    raised here, is the one a serial run would raise."""
+
+    def share(claim):
+        outcomes = []
+        while (k := claim()) < len(tasks):
+            try:
+                outcomes.append((k, tasks[k](), None))
+            except Exception as exc:
+                outcomes.append((k, None, exc))
+                break
+        return outcomes
+
+    shares = fan_out(share, len(tasks))
+    results = []
+    for _, result, exc in sorted(chain.from_iterable(shares), key=itemgetter(0)):
+        if exc is not None:
+            raise exc
+        results.append(result)
     return results

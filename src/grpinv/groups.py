@@ -235,19 +235,23 @@ def make_cyclic(n: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> FiniteGroup:
     return _freeze(table, name=f"Z{n}")
 
 
+def _inverted_cyclic(n: int, square: int, name: str) -> FiniteGroup:
+    """<a, b | a^n = e, b^2 = a^square, b a b^-1 = a^-1>, of order 2n:
+    indices 0..n-1 are a^i, n..2n-1 are a^i b."""
+    table = np.empty((2 * n, 2 * n), dtype=TABLE_DTYPE)
+    table[:n, :n] = _circulant(n)
+    table[:n, n:] = _circulant(n, offset=n)
+    table[n:, :n] = _circulant(n, offset=n, sign=-1)
+    table[n:, n:] = _circulant(n, shift=square, sign=-1)
+    return _freeze(table, name=name)
+
+
 def make_dihedral(m: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> FiniteGroup:
     """Dihedral group of order m (m even, m = 2n for the n-gon); D2 is Z2."""
     if m < 2 or m % 2 != 0:
         raise DomainError(f"dihedral group needs an even order >= 2, got {m}")
     _check_cap(m, table_cap)
-    n = m // 2
-    # Indices 0..n-1 are rotations r^i, n..2n-1 are reflections r^i s.
-    table = np.empty((m, m), dtype=TABLE_DTYPE)
-    table[:n, :n] = _circulant(n)
-    table[:n, n:] = _circulant(n, offset=n)
-    table[n:, :n] = _circulant(n, offset=n, sign=-1)
-    table[n:, n:] = _circulant(n, sign=-1)
-    return _freeze(table, name=f"D{m}")
+    return _inverted_cyclic(m // 2, 0, f"D{m}")
 
 
 def make_dicyclic(m: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> FiniteGroup:
@@ -255,15 +259,7 @@ def make_dicyclic(m: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> FiniteGroup:
     if m < 4 or m % 4 != 0:
         raise DomainError(f"dicyclic group needs order divisible by 4, got {m}")
     _check_cap(m, table_cap)
-    k = m // 4
-    q = 2 * k
-    # a^(2k) = e, b^2 = a^k, b a b^-1 = a^-1; indices q.. are a^i b.
-    table = np.empty((m, m), dtype=TABLE_DTYPE)
-    table[:q, :q] = _circulant(q)
-    table[:q, q:] = _circulant(q, offset=q)
-    table[q:, :q] = _circulant(q, offset=q, sign=-1)
-    table[q:, q:] = _circulant(q, shift=k, sign=-1)
-    return _freeze(table, name=f"Dic{m}")
+    return _inverted_cyclic(m // 2, m // 4, f"Dic{m}")
 
 
 def make_elementary_abelian_2(

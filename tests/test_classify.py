@@ -1,5 +1,6 @@
 import random
 import time
+import typing
 from fractions import Fraction
 from math import gcd, prod
 
@@ -24,6 +25,7 @@ from grpinv.classify import (
 )
 from grpinv.errors import DomainError, ResourceLimitError
 from grpinv.groups import (
+    GroupInvariants,
     invariants,
     make_cyclic,
     make_dicyclic,
@@ -37,6 +39,11 @@ def test_r_value_examples():
     assert r_value(make_cyclic(4)) == 1
     assert r_value(make_dihedral(16)) == 2
     assert r_value(make_cyclic(12)) == 4
+
+
+def test_report_type_hints_resolve():
+    hints = typing.get_type_hints(classify.VerificationReport)
+    assert hints["witnesses"] == tuple[tuple[str, GroupInvariants], ...]
 
 
 def test_theorem1_families_examples():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from grpinv import classify, cli, groups
+from grpinv import classify, cli, fork, groups
 from grpinv.classify import Counterexample, VerificationReport
 from grpinv.cli import run
 from grpinv.density import approximate_beta
@@ -391,6 +391,24 @@ def test_a_lemma_failure_in_a_child_reads_as_in_a_serial_run(
     _assert_no_child_left()
 
 
+def test_run_in_order_forks_no_more_processes_than_tasks(fork_spy, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert fork.run_in_order([lambda: "a", lambda: "b"]) == ["a", "b"]
+    assert len(fork_spy) == 1
+    assert fork.run_in_order([]) == []
+    assert len(fork_spy) == 1
+    _assert_no_child_left()
+
+
+def test_the_library_sweep_prints_what_the_cli_prints(capsys):
+    reports = classify.verify_lemmas(16, table_cap=512, enum_cap=8)
+    for report in reports:
+        cli._print_report(argparse.Namespace(format="machine"), report)
+    library = capsys.readouterr().out
+    assert run(LEMMAS_SMALL) == 0
+    assert capsys.readouterr().out == library
+
+
 def test_the_first_failing_sweep_decides_on_any_process_count(monkeypatch, capsys):
     # Two sweeps refuse; a serial run stops at the first, and so does a
     # fan-out, whichever process ran either.
@@ -603,9 +621,17 @@ _ENUMERATE_ARGV = st.builds(
     st.integers(-3, 10),
 )
 _VERIFY_ARGV = st.builds(
-    lambda claim, bound: ["verify", *claim, "--max-order", str(bound)],
+    lambda cap, claim, bound: [
+        "--table-cap", str(cap), "verify", *claim, "--max-order", str(bound)
+    ],
+    st.integers(-3, 16),
     st.sampled_from(
-        [["theorem1"], ["theorem22"], *(["theorem23", "--r", r] for r in "124")]
+        [
+            ["theorem1"],
+            ["theorem22"],
+            *(["theorem23", "--r", r] for r in "124"),
+            ["lemmas"],
+        ]
     ),
     st.integers(-3, 6),
 )
@@ -622,6 +648,7 @@ _VERIFY_ARGV = st.builds(
 )
 @example(argv=["approx-beta", "0." + "1" * 5000, "--eps", "0.1"], machine=False)
 @example(argv=["invariants", "Z(" + "9" * 5000 + ")"], machine=True)
+@example(argv=["--table-cap", "0", "verify", "lemmas"], machine=False)
 def test_parse_paths_exit_with_a_code_and_never_raise(argv, machine, capsys):
     if machine:
         argv = ["--format", "machine", *argv]
@@ -652,6 +679,8 @@ def test_verify_refuses_a_bound_below_one_before_any_work(monkeypatch, capsys):
         (["--enum-cap", "-1", "verify", "theorem1"], "--enum-cap"),
         (["verify", "all", "--max-order", "0"], "--max-order"),
         (["--enum-cap", "0", "verify", "all"], "--enum-cap"),
+        (["--table-cap", "0", "verify", "lemmas"], "table cap"),
+        (["--table-cap", "-5", "verify", "lemmas"], "table cap"),
     ):
         assert run(argv) == 2, argv
         captured = capsys.readouterr()
@@ -741,6 +770,9 @@ def test_verify_lemmas_max_order_stops_at_the_table_cap(capsys):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == capsys.readouterr().out
     assert proc.stdout.count('"L3.1a"') == 32
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    (l21,) = [r for r in records if r["claim"] == "L2.1"]
+    assert l21["scope"].startswith("all orders <= 8 (")
 
 
 def test_prime_cap_over_ceiling_exits_fast(capsys):

@@ -42,7 +42,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
-from math import gcd
+from math import gcd, isqrt
 
 from .arith import euler_phi, factorize, iter_odd_primes, tau, unit_involutions
 from .catalog import builtin_catalog, catalog_group, generalized_dihedral
@@ -176,37 +176,23 @@ def theorem1_families(r: int, max_order: int) -> list[tuple[str, FiniteGroup]]:
     over all parameters with order <= max_order, sorted by (order, name)."""
     if r not in (0, 1, 2):
         raise DomainError(f"classified families exist for r in 0..2, got {r}")
-    members: list[tuple[str, FiniteGroup]] = []
+    if max_order < 1:
+        return []
+    n, primes = max_order, iter_odd_primes
     if r == 0:
-        k = 0
-        while 2**k <= max_order:
-            G = make_elementary_abelian_2(k)
-            members.append((G.name, G))
-            k += 1
+        members = [make_elementary_abelian_2(k) for k in range(n.bit_length())]
     elif r == 1:
-        if max_order >= 4:
-            members.append(("Z4", make_cyclic(4)))
-        if max_order >= 8:
-            members.append(("D8", make_dihedral(8)))
-        for p in iter_odd_primes(max_order):
-            members.append((f"Z{p}", make_cyclic(p)))
-            if 2 * p <= max_order:
-                members.append((f"D{2 * p}", make_dihedral(2 * p)))
+        # Z4 and D8 beside Z_p and D_2p.
+        members = [make_cyclic(m) for m in (4, *primes(n)) if m <= n]
+        members += [make_dihedral(2 * m) for m in (4, *primes(n // 2)) if 2 * m <= n]
     else:
-        for name in ("Z4xZ2", "Z2xD8", "Z8", "D16"):
-            G = catalog_group(name)
-            if G.order <= max_order:
-                members.append((name, G))
-        for p in iter_odd_primes(max_order):
-            if p * p <= max_order:
-                members.append((f"Z{p * p}", make_cyclic(p * p)))
-            if 2 * p * p <= max_order:
-                members.append((f"D{2 * p * p}", make_dihedral(2 * p * p)))
-            if 2 * p <= max_order:
-                members.append((f"Z{2 * p}", make_cyclic(2 * p)))
-            if 4 * p <= max_order:
-                members.append((f"D{4 * p}", make_dihedral(4 * p)))
-    return sorted(members, key=lambda ng: (ng[1].order, ng[0]))
+        fixed = map(catalog_group, ("Z4xZ2", "Z2xD8", "Z8", "D16"))
+        members = [G for G in fixed if G.order <= n]
+        members += [make_cyclic(p * p) for p in primes(isqrt(n))]
+        members += [make_dihedral(2 * p * p) for p in primes(isqrt(n // 2))]
+        members += [make_cyclic(2 * p) for p in primes(n // 2)]
+        members += [make_dihedral(4 * p) for p in primes(n // 4)]
+    return sorted(((G.name, G) for G in members), key=lambda ng: (ng[1].order, ng[0]))
 
 
 def _match_family(

@@ -20,7 +20,8 @@ The CLI only parses and prints.  ``classify`` decides what a claim checks
 Output is a human-readable table by default; ``--format machine`` emits
 one flat JSON record per line.  Exit codes: 0 success, 1 a verification
 found a counterexample, 2 usage/parse errors, 3 resource or convergence
-limits.
+limits.  A ``--table-cap``, ``--enum-cap`` or ``--max-order`` below 1 is a
+usage error in every command, refused before any work.
 """
 
 from __future__ import annotations
@@ -162,10 +163,6 @@ def _print_report(args, report: classify.VerificationReport) -> None:
     _emit(args, record, human)
 
 
-def _reports_exit(reports) -> int:
-    return EXIT_OK if all(r.ok for r in reports) else EXIT_COUNTEREXAMPLE
-
-
 def _cmd_invariants(args) -> int:
     expr = parse_group_expr(args.expr)
     inv = invariants(evaluate(expr, table_cap=args.table_cap))
@@ -279,16 +276,10 @@ _CLAIM_REPORTS = {
 
 
 def _cmd_verify(args) -> int:
-    if args.claim != "theorem24":
-        # A sweep over no order would report "verified" with no group examined.
-        bounds = (("--max-order", args.max_order), ("--enum-cap", args.enum_cap))
-        for flag, bound in bounds:
-            if bound < 1:
-                raise DomainError(f"{flag} must be >= 1, got {bound}")
     reports = _CLAIM_REPORTS[args.claim](args)
     for report in reports:
         _print_report(args, report)
-    return _reports_exit(reports)
+    return EXIT_OK if all(r.ok for r in reports) else EXIT_COUNTEREXAMPLE
 
 
 def _parse_target(text: str) -> Fraction:
@@ -364,6 +355,12 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        # A sweep over no order would report "verified" with no group
+        # examined, and no group fits a cap below 1.
+        for flag in ("max_order", "enum_cap", "table_cap"):
+            value = getattr(args, flag, 1)
+            if value < 1:
+                raise DomainError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
         return _COMMANDS[args.command](args)
     except (ParseError, DomainError, InvalidGroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)

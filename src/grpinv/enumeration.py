@@ -386,14 +386,9 @@ def enumerate_groups(
     deadline = start + timeout if timeout is not None else None
     shares = fan_out(partial(_search_share, n, deadline), processes)
     explored, kept, timed_out = zip(*shares)
-    # This process's classes merge as they are, memo and all; a child's
-    # tables arrive unpickled and writable, so they are frozen again.  No
-    # deadline: the merge is over a few groups per class and process, and
-    # a partial result holds every class some process finished.
-    mine, *theirs = kept
-    groups, _ = _dedup_classes(
-        [*mine, *(_freeze(G.table) for share in theirs for G in share)]
-    )
+    # No deadline: the merge is over a few groups per class and process,
+    # and a partial result holds every class some process finished.
+    groups, _ = _dedup_classes([G for share in kept for G in share])
     elapsed = time.monotonic() - start
     result = EnumerationResult(
         order=n,

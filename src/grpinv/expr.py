@@ -33,8 +33,6 @@ from .groups import (
 
 __all__ = ["Atom", "GroupExpr", "parse_group_expr", "evaluate"]
 
-_KINDS = ("Z", "D", "Q", "SD")
-
 
 @dataclass(frozen=True)
 class Atom:
@@ -91,7 +89,7 @@ def _tokenize(source: str):
             while pos < length and "A" <= source[pos] <= "Z":
                 pos += 1
             name = source[start:pos]
-            if name not in _KINDS:
+            if name not in _BUILDERS:
                 raise ParseError(
                     f"unknown group family {literal_excerpt(name)} at position {start}",
                     start,
@@ -181,10 +179,13 @@ def parse_group_expr(text: str) -> GroupExpr:
     return _Parser(text).parse()
 
 
+#: Each atom kind's constructor, called with the atom's arguments; the keys
+#: are the families the tokenizer accepts.
 _BUILDERS = {
     "Z": make_cyclic,
     "D": make_dihedral,
     "Q": make_dicyclic,
+    "SD": semidirect_zn_z2,
 }
 
 
@@ -200,10 +201,7 @@ def evaluate(expr: GroupExpr, *, table_cap: int = DEFAULT_TABLE_CAP) -> FiniteGr
         _check_cap(order, table_cap)
     group = None
     for atom in expr.factors:
-        if atom.kind == "SD":
-            factor = semidirect_zn_z2(*atom.args, table_cap=table_cap)
-        else:
-            factor = _BUILDERS[atom.kind](atom.args[0], table_cap=table_cap)
+        factor = _BUILDERS[atom.kind](*atom.args, table_cap=table_cap)
         group = factor if group is None else direct_product(
             group, factor, table_cap=table_cap
         )

@@ -4,7 +4,7 @@ A group of order n lives on element indices 0..n-1 with the identity at
 index 0.  The table is an n x n ``TABLE_DTYPE`` (int16) array with
 ``table[a, b]`` holding the index of a*b, so no order above
 ``MAX_TABLE_ORDER = 2**15`` can be built.  Tables are immutable after
-construction and safe to share across threads.
+construction, and after unpickling, and safe to share across threads.
 
 The invariants of interest are
 
@@ -104,6 +104,10 @@ class FiniteGroup:
     def __repr__(self) -> str:
         label = f", name={self.name!r}" if self.name else ""
         return f"FiniteGroup(order={self.order}{label})"
+
+    def __reduce__(self):
+        # An unpickled table arrives writable; _freeze makes it read-only.
+        return _freeze, (self.table, self.name)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
+import functools
+import hashlib
 import random
 import time
 import typing
+import zlib
 from fractions import Fraction
 from math import gcd, prod
 
+import numpy as np
 import pytest
 
 from grpinv import classify
@@ -70,6 +74,46 @@ def test_theorem1_r2_fixed_members_are_the_catalog_groups():
     members = dict(theorem1_families(2, 16))
     assert all(members[name] is catalog_group(name) for name in fixed)
     assert not set(fixed) & {name for name, _ in theorem1_families(2, 7)}
+
+
+def test_theorem1_families_build_no_member_above_max_order(monkeypatch):
+    built = []
+    for name in ("make_cyclic", "make_dihedral", "make_elementary_abelian_2"):
+
+        def spy(*args, _real=getattr(classify, name), **kwargs):
+            G = _real(*args, **kwargs)
+            built.append(G.order)
+            return G
+
+        monkeypatch.setattr(classify, name, spy)
+    for r in (0, 1, 2):
+        for max_order in range(-1, 61):
+            built.clear()
+            family = theorem1_families(r, max_order)
+            assert all(order <= max_order for order in built), (r, max_order)
+            assert len(built) <= len(family), (r, max_order)
+    assert built
+
+
+#: Digest of theorem1_families' names, orders and tables over r in 0..2 and
+#: max_order in -1..200.
+THEOREM1_FAMILIES_DIGEST = (
+    "a502995f6fb2a60547c79654c91a2a82c930a1b5d0bfbef46229d4546944443e"
+)
+
+
+def test_theorem1_families_match_their_recorded_digest(monkeypatch):
+    # Each constructor is deterministic: memoized, the sweep builds every
+    # table once and stays well under a second.
+    for name in ("make_cyclic", "make_dihedral", "make_elementary_abelian_2"):
+        monkeypatch.setattr(classify, name, functools.cache(getattr(classify, name)))
+    digest = hashlib.sha256()
+    for r in (0, 1, 2):
+        for max_order in range(-1, 201):
+            for name, G in theorem1_families(r, max_order):
+                table = zlib.crc32(np.ascontiguousarray(G.table, dtype="<i2"))
+                digest.update(f"{r} {max_order} {name} {G.order} {table}\n".encode())
+    assert digest.hexdigest() == THEOREM1_FAMILIES_DIGEST
 
 
 def test_dihedral_prime_subsets_refuse_the_int16_ceiling_without_sieving():

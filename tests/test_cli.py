@@ -658,7 +658,7 @@ def test_parse_paths_exit_with_a_code_and_never_raise(argv, machine, capsys):
 
 def test_verify_refuses_a_bound_below_one_before_any_work(monkeypatch, capsys):
     def refuse(*args, **kwargs):
-        raise AssertionError("a verification started")
+        raise AssertionError("work started")
 
     for name in (
         "verify_theorem1",
@@ -670,6 +670,9 @@ def test_verify_refuses_a_bound_below_one_before_any_work(monkeypatch, capsys):
         "verify_semidirect_dichotomy",
     ):
         monkeypatch.setattr(classify, name, refuse)
+    for name in ("parse_group_expr", "enumerate_groups"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(cli.density, "approximate_beta", refuse)
     for argv, flag in (
         (["verify", "theorem1", "--max-order", "0"], "--max-order"),
         (["verify", "theorem22", "--max-order", "-1"], "--max-order"),
@@ -679,12 +682,24 @@ def test_verify_refuses_a_bound_below_one_before_any_work(monkeypatch, capsys):
         (["--enum-cap", "-1", "verify", "theorem1"], "--enum-cap"),
         (["verify", "all", "--max-order", "0"], "--max-order"),
         (["--enum-cap", "0", "verify", "all"], "--enum-cap"),
-        (["--table-cap", "0", "verify", "lemmas"], "table cap"),
-        (["--table-cap", "-5", "verify", "lemmas"], "table cap"),
+        (["--table-cap", "0", "verify", "lemmas"], "--table-cap"),
+        (["--table-cap", "-5", "verify", "lemmas"], "--table-cap"),
+        (["--table-cap", "0", "invariants", "Z(1)"], "--table-cap"),
+        (["--table-cap", "0", "identify", "Z(2)"], "--table-cap"),
+        (["--table-cap", "0", "enumerate", "4"], "--table-cap"),
+        (["--table-cap", "0", "verify", "theorem24", "--n", "3"], "--table-cap"),
+        (["--table-cap", "0", "verify", "all"], "--table-cap"),
+        (
+            ["--table-cap", "0", "approx-beta", "0.5", "--eps", "0.001", "--materialize"],
+            "--table-cap",
+        ),
+        (["--enum-cap", "0", "enumerate", "4"], "--enum-cap"),
     ):
         assert run(argv) == 2, argv
         captured = capsys.readouterr()
-        assert captured.out == "" and f"{flag} must be >= 1" in captured.err, argv
+        value = argv[argv.index(flag) + 1]
+        assert captured.out == "", argv
+        assert captured.err == f"error: {flag} must be >= 1, got {value}\n", argv
 
 
 def test_exit_resource_errors(capsys):

@@ -249,7 +249,7 @@ def test_no_child_outlives_a_return_or_a_timeout(two_cpus, monkeypatch):
 def test_a_fan_out_builds_each_chain_once(two_cpus, monkeypatch):
     # The parent's own classes reach the merge with their memo, so no table
     # has its generating sequence built twice in the parent; a child's
-    # classes are frozen again on arrival.
+    # classes unpickle read-only, as every FiniteGroup does.
     for entry in builtin_catalog():
         fingerprint(entry.group)
     built = []

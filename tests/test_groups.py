@@ -1,5 +1,6 @@
 import functools
 import itertools
+import pickle
 import time
 import tracemalloc
 from fractions import Fraction
@@ -524,6 +525,15 @@ def test_every_construction_path_returns_a_frozen_int16_table():
 def test_freeze_wraps_an_int16_table_without_a_copy():
     table = make_dihedral(6).table.copy()
     assert _freeze(table).table is table
+
+
+def test_a_group_unpickles_read_only():
+    for G in (catalog_group("Q8:Z2"), *enumerate_groups(12).groups):
+        copy = pickle.loads(pickle.dumps(G))
+        assert (copy.order, copy.name) == (G.order, G.name)
+        assert copy.table.dtype == G.table.dtype
+        assert copy.table.tobytes() == G.table.tobytes()
+        assert copy.table.flags.writeable is False
 
 
 def test_order_ceiling_is_checked_before_any_work():

@@ -218,15 +218,24 @@ def _circulant(n: int, *, offset: int = 0, shift: int = 0, sign: int = 1) -> np.
 
     Row a is a length-n window of ``v = (arange(2n) + shift) % n + offset``:
     the one starting at a for sign = +1.  For sign = -1, v is reversed and
-    the windows are taken from the end, row a starting at n-1-a.  No n x n
-    array is computed; copying the view out is the only O(n^2) work.  v is
-    computed in int32, where 2n cannot overflow, and cast to ``TABLE_DTYPE``
-    so that the copy needs no cast.
+    row a is the window starting at n-1-a, so the row stride is negative.
+    No n x n array is computed; copying the view out is the only O(n^2)
+    work.  v is computed in int32, where 2n cannot overflow, and cast to
+    ``TABLE_DTYPE`` so that the copy needs no cast.  The view is made
+    directly on v's buffer, read-only because v is.
     """
     start = 0 if sign == 1 else n - 1
     v = (sign * (np.arange(2 * n, dtype=np.int32) - start) + shift) % n + offset
     v = v.astype(TABLE_DTYPE)
-    return np.lib.stride_tricks.sliding_window_view(v, n)[start::sign][:n]
+    v.flags.writeable = False
+    step = v.itemsize
+    return np.ndarray(
+        (n, n),
+        dtype=TABLE_DTYPE,
+        buffer=v,
+        offset=start * step,
+        strides=(sign * step, step),
+    )
 
 
 def make_cyclic(n: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> FiniteGroup:

@@ -3,11 +3,14 @@
 Every comparison rejects in the same order, cheapest first: the
 element-order histogram, already cached per group, then a fingerprint of
 further invariants, then the search, then the certificate.  Only the
-certificate accepts.  A histogram mismatch rejects before any chain or
-candidate table is built; ``identify`` knows the histograms of its
-parametric families in closed form, so it builds a family member only
-when its histogram is G's.  The fingerprint's center is the set of
-elements commuting with every generator, an n x gens test.
+certificate accepts a pair of groups.  A histogram mismatch rejects
+before any chain is built.  ``identify`` compares G with no group above
+the catalog's orders: it knows the histograms of its parametric families
+in closed form, and a family whose histogram is G's accepts only when
+its defining relations hold in G's own table, a proof by von Dyck's
+theorem that builds no candidate and runs no search.  The fingerprint's
+center is the set of elements commuting with every generator, an
+n x gens test.
 A backtracking search then maps a greedy generating sequence of one
 group onto images of the same signature (element order and number of
 square roots) in the other.  Each choice of image is replayed through a
@@ -29,20 +32,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .arith import euler_phi
-from .groups import (
-    FiniteGroup,
-    _orders,
-    _per_group,
-    invariants,
-    make_cyclic,
-    make_dicyclic,
-    make_dihedral,
-    make_elementary_abelian_2,
-)
+from .groups import FiniteGroup, _orders, _per_group, _powers, invariants
 
 __all__ = [
     "IsoFingerprint",
@@ -255,28 +250,59 @@ def _search(G: FiniteGroup, H: FiniteGroup) -> IsoWitness | None:
         del extend
 
 
-def _family_histograms(n: int):
-    """(builder, element-order histogram) for each parametric family with a
-    member of order n, the histogram in closed form: Z_n has phi(d)
-    elements of each order d | n; D_n and Dic_n add n/2 elements of order
-    2, resp. 4, to their rotations Z_{n/2}; Z2^k has n - 1 involutions."""
+def _families(n: int):
+    """(name, element-order histogram, relation check) for each parametric
+    family with a member of order n.  The histogram is in closed form: Z_n
+    has phi(d) elements of each order d | n; D_n and Dic_n add n/2 elements
+    of order 2, resp. 4, to their rotations Z_{n/2}; Z2^k has n - 1
+    involutions.  The check proves a group of order n a member from its
+    own table; the names are those the builders give."""
 
     def cyclic(m):
         return Counter({d: euler_phi(d) for d in range(1, m + 1) if m % d == 0})
 
-    families = [(make_cyclic, cyclic(n))]
+    families = [(f"Z{n}", cyclic(n), _is_cyclic)]
     if n % 2 == 0:
-        families.append((make_dihedral, cyclic(n // 2) + Counter({2: n // 2})))
+        dihedral = partial(_is_inverted_cyclic, square=0)
+        families.append((f"D{n}", cyclic(n // 2) + Counter({2: n // 2}), dihedral))
     if n % 4 == 0:
-        families.append((make_dicyclic, cyclic(n // 2) + Counter({4: n // 2})))
+        dicyclic = partial(_is_inverted_cyclic, square=n // 4)
+        families.append((f"Dic{n}", cyclic(n // 2) + Counter({4: n // 2}), dicyclic))
     if n > 1 and n & (n - 1) == 0:
-        families.append(
-            (
-                lambda m, **caps: make_elementary_abelian_2(m.bit_length() - 1, **caps),
-                Counter({1: 1, 2: n - 1}),
-            )
-        )
+        name = "x".join(["Z2"] * (n.bit_length() - 1))
+        families.append((name, Counter({1: 1, 2: n - 1}), _is_elementary_abelian_2))
     return families
+
+
+def _is_cyclic(G: FiniteGroup) -> bool:
+    """An element of order n generates G."""
+    return bool((_orders(G) == G.order).any())
+
+
+def _is_elementary_abelian_2(G: FiniteGroup) -> bool:
+    """x*x = e for every x, so xy = (xy)^-1 = yx: G is a vector space over
+    F_2, of dimension k for |G| = 2^k."""
+    return not np.diagonal(G.table).any()
+
+
+def _is_inverted_cyclic(G: FiniteGroup, square: int) -> bool:
+    """Whether G, of order 2m, has the relations of the builders'
+    <a, b | a^m = e, b^2 = a^square, b^-1 a b = a^-1>, D_2m for square = 0
+    and Dic_2m for square = m/2, on a the least index of order m and b the
+    least index outside <a>; ``identify`` says why that proves G that
+    group.  (ba)^2 = b^2 is aba = b, i.e. b^-1 a b = a^-1."""
+    m = G.order // 2
+    candidates = np.flatnonzero(_orders(G) == m)
+    if not candidates.size:
+        return False
+    a = int(candidates[0])
+    A = _powers(G, a)
+    outside = np.ones(G.order, dtype=bool)
+    outside[A] = False
+    b = int(outside.argmax())
+    item = G.table.item
+    bb, ba = item(b, b), item(b, a)
+    return bb == A[square] and item(ba, ba) == bb
 
 
 def identify(G: FiniteGroup) -> str | None:
@@ -284,35 +310,34 @@ def identify(G: FiniteGroup) -> str | None:
 
     Groups larger than the catalog bound are still matched against the
     parametric families (cyclic, dihedral, dicyclic, elementary abelian)
-    at their own order.  A candidate whose order histogram differs from
-    G's is rejected first: a catalog entry's histogram comes from its
-    cached orders, a family's from its closed form, before its table is
-    built.
+    at their own order, in G's own table: no candidate table is built and
+    no search runs.  A family whose closed-form order histogram differs
+    from G's is rejected first.  Otherwise the family's defining relations
+    are checked on G: Z_n needs an element of order n and Z2^k a diagonal
+    of e.  For D_n and Dic_n, a is the least index of order n/2, A its
+    powers and b the least index outside A: |A| = n/2 and b not in A
+    make <a, b> larger than A, so a and b generate G.  D_n needs
+    b^2 = (ba)^2 = e, and Dic_n b^2 = a^(n/4) and (ba)^2 = b^2.  G is then
+    a quotient of the family's presented group, which has G's order, so
+    the two are isomorphic (von Dyck's theorem).  This proof does not rely
+    on the histogram.  A catalog entry's histogram comes from its cached
+    orders.
     """
     from .catalog import builtin_catalog
 
     catalog = builtin_catalog()
     histogram = invariants(G).order_histogram
-
-    def isomorphic(H):
-        return fingerprint(H) == fingerprint(G) and _search(G, H) is not None
-
     for entry in catalog:
         H = entry.group
         if (
             H.order == G.order
             and invariants(H).order_histogram == histogram
-            and isomorphic(H)
+            and fingerprint(H) == fingerprint(G)
+            and _search(G, H) is not None
         ):
             return entry.name
     if G.order > max((entry.group.order for entry in catalog), default=0):
-        # One table of order n at a time: each candidate is released
-        # before the next is built.
-        for build, family_histogram in _family_histograms(G.order):
-            if family_histogram == histogram:
-                # G's own table is this size, so its cap admits the candidate.
-                candidate = build(G.order, table_cap=G.order)
-                if isomorphic(candidate):
-                    return candidate.name
-                del candidate
+        for name, family_histogram, relations_hold in _families(G.order):
+            if family_histogram == histogram and relations_hold(G):
+                return name
     return None

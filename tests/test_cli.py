@@ -82,8 +82,8 @@ def test_identify_machine(capsys):
     ],
 )
 def test_identify_builds_family_candidates_under_the_callers_cap(text, name, capsys):
-    # Above the default cap of 4096: a candidate has G's order, so the cap
-    # that admitted G admits it.
+    # Above the default cap of 4096: there are no candidates, since the
+    # family's relations are checked in G's own table, which the cap admitted.
     argv = ["--format", "machine", "--table-cap", "4100", "identify", text]
     assert run(argv) == 0
     (record,) = machine_lines(capsys)

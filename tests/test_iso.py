@@ -278,7 +278,8 @@ def test_fingerprints_witnesses_and_names_are_pinned():
 
 def _relabelled(G, rng):
     """G under a random relabelling of its non-identity elements."""
-    perm = np.array([0] + rng.sample(range(1, G.order), G.order - 1))
+    perm = [0] + rng.sample(range(1, G.order), G.order - 1)
+    perm = np.array(perm, dtype=G.table.dtype)
     table = np.empty_like(G.table)
     table[np.ix_(perm, perm)] = perm[G.table]
     return _freeze(table)
@@ -363,9 +364,15 @@ def test_identify_builds_the_chain_of_g_once(monkeypatch):
         return _generating_sequence(G)
 
     monkeypatch.setattr(iso, "_generating_sequence", counting)
+    # Z4 x Z4 shares its histogram with several catalog groups of order 16,
+    # each compared with G through G's one chain.
+    G = direct_product(make_cyclic(4), make_cyclic(4))
+    assert identify(G) == identify(G) == "Z4xZ4"
+    assert sum(1 for H in built if H is G) == 1
+    # Above the catalog's orders a family is named from its relations alone.
     G = make_elementary_abelian_2(12)
     assert identify(G) == G.name
-    assert sum(1 for H in built if H is G) == 1
+    assert not any(H is G for H in built)
 
 
 def test_search_frees_both_groups_without_the_cycle_collector():
@@ -425,11 +432,15 @@ def _traced_identify(text):
     return name, elapsed, peak
 
 
-def test_identify_positive_at_order_4092_is_fast_and_lean():
+def test_identify_positive_at_order_4092_is_fast_and_lean(monkeypatch):
+    # The relations are checked in G's own table: no candidate table, no
+    # chain and no search, so the peak holds a few O(n) arrays only.
+    _refuse_builds(monkeypatch, "grpinv.groups", *FAMILY_BUILDERS)
+    _refuse_builds(monkeypatch, "grpinv.iso", "_generating_sequence", "_search")
     name, elapsed, peak = _traced_identify("Z(2)xD(2046)")
     assert name == "D4092"
     assert elapsed < 5.0
-    assert peak < 200 * 2**20
+    assert peak < 4 * 2**20
 
 
 def test_identify_negative_at_order_4088_is_fast_and_lean():
@@ -439,17 +450,29 @@ def test_identify_negative_at_order_4088_is_fast_and_lean():
     assert peak < 200 * 2**20
 
 
+def _family_members(n):
+    """The built member of each family of order n, in ``iso._families`` order."""
+    members = [make_cyclic(n)]
+    if n % 2 == 0:
+        members.append(make_dihedral(n))
+    if n % 4 == 0:
+        members.append(make_dicyclic(n))
+    if n > 1 and n & (n - 1) == 0:
+        members.append(make_elementary_abelian_2(n.bit_length() - 1))
+    return members
+
+
 def test_family_histograms_are_those_of_the_built_groups():
     for n in itertools.chain(range(1, 301), range(4088, 4097)):
-        families = iso._family_histograms(n)
-        power_of_two = n > 1 and n & (n - 1) == 0
-        assert len(families) == 1 + (n % 2 == 0) + (n % 4 == 0) + power_of_two
-        for build, histogram in families:
-            G = build(n)
-            assert invariants(G).order_histogram == histogram, G
+        families = iso._families(n)
+        members = _family_members(n)
+        assert len(families) == len(members)
+        for (name, histogram, relations_hold), G in zip(families, members):
+            assert (name, histogram) == (G.name, invariants(G).order_histogram), G
+            assert relations_hold(G), G
 
     def named(n):
-        return [(build(n).name, dict(h)) for build, h in iso._family_histograms(n)]
+        return [(name, dict(h)) for name, h, _ in iso._families(n)]
 
     # Z1, D2 = Z2, D4 = Z2^2 and Dic4 = Z4.
     assert named(1) == [("Z1", {1: 1})]
@@ -462,13 +485,47 @@ def test_family_histograms_are_those_of_the_built_groups():
     ]
 
 
+def _non_members(n):
+    """Groups of order n, 17 <= n <= 160, in none of the families:
+    Z2 x Z(n/2) with n/2 even, and Z(n/2) x| Z2 with u^2 = 1, u != +-1."""
+    if n % 2:
+        return []
+    m = n // 2
+    groups = [direct_product(make_cyclic(2), make_cyclic(m))] if m % 2 == 0 else []
+    groups += [semidirect_zn_z2(m, u) for u in range(2, m - 1) if u * u % m == 1]
+    return groups
+
+
+def test_family_relations_name_exactly_the_family():
+    # Each family's relations accept its members under any labelling and
+    # reject every other group of the same order.  They are called directly
+    # too, so that identify's histogram gate does not answer first.
+    rng = random.Random(20261021)
+    for n in itertools.chain(range(17, 161), range(4088, 4097)):
+        families = iso._families(n)
+        members = _family_members(n)
+        others = _non_members(n) if n <= 160 else []
+        if n == 4092:
+            others.append(evaluate(parse_group_expr("D(6)xD(682)")))
+        for i, G in enumerate(members):
+            for H in (G, _relabelled(G, rng)):
+                verdicts = [relations_hold(H) for _, _, relations_hold in families]
+                assert verdicts == [j == i for j in range(len(families))], (n, G)
+                assert identify(H) == G.name == families[i][0], (n, G)
+        for G in others:
+            for H in (G, _relabelled(G, rng)):
+                verdicts = [relations_hold(H) for _, _, relations_hold in families]
+                assert not any(verdicts), G
+                assert identify(H) is None, G
+
+
 def _refuse(*args, **kwargs):
-    raise AssertionError("built for a comparison the histogram rejects")
+    raise AssertionError("called where identify should need no table, chain or search")
 
 
-def _refuse_builds(monkeypatch, *names):
+def _refuse_builds(monkeypatch, module, *names):
     for name in names:
-        monkeypatch.setattr(iso, name, _refuse)
+        monkeypatch.setattr(f"{module}.{name}", _refuse)
 
 
 FAMILY_BUILDERS = (
@@ -484,24 +541,29 @@ def test_histogram_rejections_build_no_chain_or_table(monkeypatch):
     # Semidihedral of order 16: no catalog entry has its histogram.
     groups.append(semidirect_zn_z2(8, 3))
     C12, D12 = make_cyclic(12), make_dihedral(12)
-    _refuse_builds(monkeypatch, *FAMILY_BUILDERS, "_generating_sequence")
+    _refuse_builds(monkeypatch, "grpinv.groups", *FAMILY_BUILDERS)
+    _refuse_builds(monkeypatch, "grpinv.iso", "_generating_sequence")
     for G in groups:
         assert identify(G) is None
     assert are_isomorphic(C12, D12) is None
 
 
-def test_identify_builds_only_the_family_with_g_histogram(monkeypatch):
+def test_identify_checks_only_the_family_with_g_histogram(monkeypatch):
     G = evaluate(parse_group_expr("Z(2)xD(2046)"))
-    built = []
+    checked = []
 
-    def spy(n, **kwargs):
-        built.append(n)
-        return make_dihedral(n, **kwargs)
+    def spy(relations_hold):
+        def recording(H, **kwargs):
+            checked.append((relations_hold.__name__, kwargs))
+            return relations_hold(H, **kwargs)
 
-    _refuse_builds(monkeypatch, *FAMILY_BUILDERS)
-    monkeypatch.setattr(iso, "make_dihedral", spy)
+        return recording
+
+    _refuse_builds(monkeypatch, "grpinv.groups", *FAMILY_BUILDERS)
+    for name in ("_is_cyclic", "_is_inverted_cyclic", "_is_elementary_abelian_2"):
+        monkeypatch.setattr(iso, name, spy(getattr(iso, name)))
     assert identify(G) == "D4092"
-    assert built == [4092]
+    assert checked == [("_is_inverted_cyclic", {"square": 0})]
 
 
 def test_homomorphism_check_streams_and_rejects_a_swap():

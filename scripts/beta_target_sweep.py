@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from grpinv.arith import DEFAULT_PRIME_CAP
-from grpinv.density import _log_floor, approximate_beta
+from grpinv.density import _log_series, approximate_beta
 from grpinv.errors import ConvergenceError
 
 
@@ -35,7 +35,8 @@ def main() -> int:
 
     eps, low, high = args.eps, args.low, args.high
 
-    series = _log_floor(args.prime_cap)
+    # The greedy's own cached series: its last sum is ln(1/floor).
+    series = _log_series(args.prime_cap)[1][-1]
     floor = math.exp(-series)
     print(f"available log series up to {args.prime_cap}: {series:.6f}")
     print(f"=> smallest reachable target: {floor:.6f}\n")

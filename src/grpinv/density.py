@@ -9,13 +9,18 @@ includes every prime not overshooting ln(1/t) converges to any
 tolerance -- eventually.  Under a finite prime cap the reachable targets
 are bounded below by exp(-sum of the available series).
 
-Every decision the greedy takes is exact.  The loop screens each
-comparison with interval-bounded floats and falls back to exact
-big-integer cross-multiplication whenever the screen cannot certify the
-outcome (exact ties, e.g. t = 4/5, land in the fallback).  A stepwise
-fully-big-integer loop would go quadratic for targets that need most of
-the ~78k primes under the default cap; the screened loop is
-behaviourally identical and linear.
+Every decision the greedy takes is exact.  A float screen with a
+drift bound certifies what it can and falls back to exact big-integer
+cross-multiplication whenever it cannot (exact ties, e.g. t = 4/5, land
+in the fallback); a stepwise fully-big-integer loop would go quadratic
+for targets that need most of the ~78k primes under the default cap.
+The screen reads one float series per cap, the terms ln((p+2)/(p+1))
+and their running sums, and takes whole runs of primes at a time: one
+bisect on the sums takes the leading primes that are certainly included
+before the product can come near the target, and one bisect on the
+decreasing terms skips every prime that certainly overshoots.  Only the
+primes it includes one at a time and those inside the margin are
+visited, and the choices are the plain greedy's.
 
 Targets below the floor are decided exactly before any scan: when the
 full product exceeds t + eps, every prefix product does too, so the
@@ -38,12 +43,14 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .arith import DEFAULT_PRIME_CAP, MAX_PRIME_CAP, _primes_upto, iter_odd_primes
+from .arith import DEFAULT_PRIME_CAP, MAX_PRIME_CAP, _primes_upto
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -67,8 +74,8 @@ __all__ = [
 ]
 
 #: Absolute slack below which a float comparison is not trusted.  It also
-#: covers the error of the numpy sum behind the floor screen (under 2e-10
-#: for the ~665k terms at MAX_PRIME_CAP).
+#: covers the error of the series' last sum behind the floor screen (under
+#: 2e-10 for the ~665k terms at MAX_PRIME_CAP).
 _MARGIN = 1e-9
 
 #: Selections of at least this many primes are reduced by prime exponents
@@ -257,11 +264,20 @@ def _every_odd_prime_product(prime_cap: int) -> _RunningBeta:
 
 
 @functools.lru_cache(maxsize=4)
-def _log_floor(prime_cap: int) -> float:
-    """ln(1/floor) = sum of ln((p+2)/(p+1)) over the odd primes up to the
-    cap, as a float within _MARGIN of the exact sum."""
-    primes = np.array(_primes_upto(prime_cap), dtype=np.float64)[1:]
-    return float(np.log1p(1.0 / (primes + 1.0)).sum())
+def _log_series(prime_cap: int) -> tuple[array, array]:
+    """(x, S) for the odd primes p_1 < p_2 < ... up to the cap: x[k - 1] =
+    ln((p_k + 2)/(p_k + 1)), decreasing, and S[k] = x[0] + ... + x[k - 1]
+    summed in order, so S[0] = 0 and S[-1] = ln(1/floor).
+
+    Each x is within a few ulps and the sum runs in order, so S[k] is
+    within (k + 4) * 2**-53 * S[k] of the exact sum: under 1.9e-11 at the
+    default cap, 2e-10 at MAX_PRIME_CAP.  Float arrays, not lists, keep
+    the series at 16 bytes a prime.
+    """
+    primes = np.array(_primes_upto(prime_cap)[1:], dtype=np.float64)
+    x = np.log1p(1.0 / (primes + 1.0))
+    sums = np.concatenate(([0.0], np.cumsum(x)))
+    return array("d", x.tobytes()), array("d", sums.tobytes())
 
 
 def _as_exact(value, label: str) -> Fraction:
@@ -295,10 +311,14 @@ def approximate_beta(
     Scans the odd primes in increasing order, including p whenever the
     product stays >= target, and stops once the exact distance to the
     target is within eps.  Raises :class:`ConvergenceError` carrying the
-    best selection when the prime cap is exhausted first, and
-    :class:`ResourceLimitError` before any sieving when ``prime_cap``
-    exceeds ``MAX_PRIME_CAP``.
+    best selection when the prime cap is exhausted first, and, before any
+    sieving, :class:`DomainError` when ``prime_cap`` is not an integer and
+    :class:`ResourceLimitError` when it exceeds ``MAX_PRIME_CAP``.
     """
+    try:
+        prime_cap = operator.index(prime_cap)
+    except TypeError:
+        raise DomainError(f"prime cap must be an integer, got {prime_cap!r}") from None
     if prime_cap > MAX_PRIME_CAP:
         raise ResourceLimitError(
             f"prime cap {prime_cap} exceeds the ceiling {MAX_PRIME_CAP}"
@@ -351,24 +371,43 @@ def approximate_beta(
     # prefix product, and the greedy would take every prime without ever
     # landing within eps.  That holds exactly when the gap
     # ln(1/(t + eps)) - ln(1/F) is positive; residual - stop_bar is the
-    # first term and _log_floor the second.  The float gap is off by at
-    # most _log_floor's _MARGIN plus the rounding of residual - stop_bar,
+    # first term and the series' last sum the second.  The float gap is off
+    # by at most that sum's _MARGIN plus the rounding of residual - stop_bar,
     # a few ulps of ln(td), ln(tn) and stop_bar: under _MARGIN until
     # ln(td) nears 10**5, and scaled past that.  Beyond that bound the
     # float gap certifies the refusal; inside it the exact sign decides.
-    gap = residual - stop_bar - _log_floor(prime_cap)
+    xs, sums = _log_series(prime_cap)
+    gap = residual - stop_bar - sums[-1]
     if gap > -_MARGIN:
         full = _every_odd_prime_product(prime_cap)
         bound = 2 * _MARGIN + 1e-15 * (2 * math.log(td) + stop_bar)
         if gap > bound or full.sign(close_c, close_d) > 0:
             raise exhausted(build(full, len(full.primes)))
 
-    scanned = 0
-    for p in iter_odd_primes(prime_cap):
+    # The leading primes whose prefix sum leaves the residual clear of
+    # stop_bar + _MARGIN are each certainly included and certainly not
+    # within eps: take them in one step.  The bar is raised by the error
+    # bound of the longest prefix, and the drift grows by that of the
+    # prefix taken: k * 1e-15 * (1 + S[k] + |residual|) covers the error
+    # _log_series bounds for S[k] and the rounding of the residual.
+    primes, count = _primes_upto(prime_cap), len(xs)
+    bar = stop_bar + drift + _MARGIN + count * 1e-15 * (1.0 + sums[-1] + abs(residual))
+    scanned = bisect.bisect_left(sums, residual - bar, 1) - 1
+    running.primes.extend(primes[1 : scanned + 1])
+    drift += scanned * 1e-15 * (1.0 + sums[scanned] + abs(residual))
+    residual -= sums[scanned]
+    while scanned < count:
+        x = xs[scanned]
+        reach = residual + drift + _MARGIN
+        if x > reach:
+            # Certainly overshoots, as does every prime up to the first
+            # whose term is within reach.
+            scanned = bisect.bisect_left(
+                xs, -reach, scanned + 1, count, key=operator.neg
+            )
+            continue
         scanned += 1
-        x = math.log1p(1.0 / (p + 1))
-        if x - residual > drift + _MARGIN:
-            continue  # certainly overshoots
+        p = primes[scanned]
         if residual - x > drift + _MARGIN:
             include = True
         else:

@@ -191,6 +191,24 @@ def test_c_order_deficit_r4():
         assert inv.c == inv.order - 4
 
 
+@pytest.mark.parametrize("r", [1, 2])
+def test_c_order_deficit_both_ways_to_8r_settles_the_claim(r):
+    # c = |G| - r forces |G| <= 8r given T2.2, so a check both ways to 8r
+    # covers every finite group; one order short, members are still
+    # checked member-wise above it.
+    report = verify_c_order_deficit(r, 8 * r)
+    assert report.ok
+    assert {name for name, _ in report.witnesses} == set(classify._DEFICIT_LISTS[r])
+    assert max(inv.order for _, inv in report.witnesses) == 8 * r
+    assert report.scope == (
+        f"bidirectional on orders <= {8 * r}; c = |G| - {r} forces "
+        f"|G| <= 8r = {8 * r}, so settled for every finite group given T2.2"
+    )
+    short = verify_c_order_deficit(r, 8 * r - 1)
+    assert short.ok
+    assert short.scope == f"bidirectional on orders <= {8 * r - 1}; member-wise above"
+
+
 def test_c_order_deficit_domain():
     with pytest.raises(DomainError):
         verify_c_order_deficit(3, 12)

@@ -180,7 +180,7 @@ def test_verify_theorem22_and_23(capsys):
         ),
         (
             ["theorem23", "--r", "1"],
-            "d01ec80f44acc0bbd2290500668a3522ea26ff59809a15324e71d10ea40fe267",
+            "8bd4d420ae5a5b36c92530466b5e4b45bffc681c5afe870c4db7dc9ccb13b79d",
         ),
         (
             ["theorem23", "--r", "2"],

@@ -111,6 +111,45 @@ def test_monotone_refinement_prefix_property():
     assert fine.primes[: len(coarse.primes)] == coarse.primes
 
 
+def exact_greedy(t, eps, prime_cap):
+    """The unscreened greedy: every decision cross-multiplies the unreduced
+    product.  Returns (primes, num, den, primes scanned, converged)."""
+    tn, td = t.numerator, t.denominator
+    # beta - t <= eps  <=>  num*c <= den*d
+    c = td * eps.denominator
+    d = tn * eps.denominator + eps.numerator * td
+    num = den = 1
+    chosen = []
+    scanned = 0
+    if num * c <= den * d:
+        return chosen, num, den, scanned, True
+    # num*td and den*tn: p stays in when num*(p+1)*td >= den*(p+2)*tn.
+    above, below = td, tn
+    for p in iter_odd_primes(prime_cap):
+        scanned += 1
+        if above * (p + 1) >= below * (p + 2):
+            num, den = num * (p + 1), den * (p + 2)
+            above, below = above * (p + 1), below * (p + 2)
+            chosen.append(p)
+            if num * c <= den * d:
+                return chosen, num, den, scanned, True
+    return chosen, num, den, scanned, False
+
+
+def assert_matches_exact_greedy(t, eps, prime_cap):
+    chosen, num, den, scanned, converged = exact_greedy(t, eps, prime_cap)
+    if converged:
+        sel = approximate_beta(t, eps, prime_cap=prime_cap)
+    else:
+        with pytest.raises(ConvergenceError) as exc_info:
+            approximate_beta(t, eps, prime_cap=prime_cap)
+        sel = exc_info.value.best
+    assert sel.primes == tuple(chosen), t
+    beta = sel.predicted_beta
+    assert beta.numerator * den == beta.denominator * num, t
+    assert sel.primes_scanned == scanned, t
+
+
 GREEDY_EPS = Fraction(1, 100)
 # The product over every odd prime up to 100 is F = 0.3389; up to 10^4 it
 # is 0.1721, so targets below 0.1621 cannot come within 1/100 under 10^4.
@@ -128,32 +167,53 @@ FULL_100 = selection_beta(list(iter_odd_primes(100)))
 @example((FULL_100 - GREEDY_EPS, 100))
 @example((FULL_100 - GREEDY_EPS - Fraction(1, 10**12), 100))
 def test_greedy_matches_naive_exact_greedy(case):
-    # oracle: the plain unscreened exact greedy, affordable at eps = 1e-2
     t, prime_cap = case
-    eps = GREEDY_EPS
-    product = Fraction(1)
-    chosen = []
-    scanned = 0
-    converged = product - t <= eps
-    if not converged:
-        for p in iter_odd_primes(prime_cap):
-            scanned += 1
-            step = product * Fraction(p + 1, p + 2)
-            if step >= t:
-                product = step
-                chosen.append(p)
-                if product - t <= eps:
-                    converged = True
-                    break
-    if converged:
-        sel = approximate_beta(t, eps, prime_cap=prime_cap)
-    else:
-        with pytest.raises(ConvergenceError) as exc_info:
-            approximate_beta(t, eps, prime_cap=prime_cap)
-        sel = exc_info.value.best
-    assert sel.primes == tuple(chosen)
-    assert sel.predicted_beta == product
-    assert sel.primes_scanned == scanned
+    assert_matches_exact_greedy(t, GREEDY_EPS, prime_cap)
+
+
+# Acceptance criterion 8's targets, and the eps it asks for.
+CRITERION_8_RNG = random.Random(20250818)
+CRITERION_8 = [Fraction(CRITERION_8_RNG.randint(500, 9900), 10**4) for _ in range(200)]
+
+
+def test_windowed_scan_matches_exact_greedy_on_criterion_8():
+    # The prefix and skip jumps take the exact greedy's primes and stop
+    # where it stops.  Targets nearer the floor run under --runslow.
+    targets = [t for t in CRITERION_8 if t >= Fraction(15, 100)]
+    assert len(targets) == 179
+    for t in targets:
+        assert_matches_exact_greedy(t, Fraction(1, 10**4), 10**6)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("t", [Fraction(1254, 10**4), Fraction(1161, 10**4)])
+def test_windowed_scan_matches_exact_greedy_near_the_floor(t):
+    assert_matches_exact_greedy(t, Fraction(1, 10**4), 10**6)
+
+
+@pytest.mark.parametrize("cap", [2, 10**3, 10**6])
+def test_log_series_bounds_its_sums(cap):
+    xs, sums = density._log_series(cap)
+    terms = [math.log1p(1.0 / (p + 1)) for p in iter_odd_primes(cap)]
+    assert len(xs) == len(terms) and len(sums) == len(terms) + 1
+    assert sums[0] == 0.0
+    # Strictly decreasing, which the skip jump's bisect needs.
+    assert all(a > b for a, b in zip(xs, xs[1:]))
+    # Within the prefix jump's drift bound of the exact-rounded sum.
+    for k in sorted({k for k in (1, 1000, 10**4, len(terms)) if k <= len(terms)}):
+        error = abs(sums[k] - math.fsum(terms[:k]))
+        assert error <= k * 1e-15 * (1.0 + sums[k]), (cap, k, error)
+
+
+@pytest.mark.parametrize("prime_cap", [1e3, "1000", Fraction(1000), None])
+def test_prime_cap_must_be_an_integer(monkeypatch, prime_cap):
+    def refuse(*args):
+        raise AssertionError("primes were sieved")
+
+    monkeypatch.setattr(density, "_primes_upto", refuse)
+    monkeypatch.setattr(density, "_log_series", refuse)
+    with pytest.raises(DomainError, match="prime cap must be an integer"):
+        approximate_beta(Fraction(1, 2), Fraction(1, 1000), prime_cap=prime_cap)
 
 
 def test_exponent_reduction_matches_selection_beta(monkeypatch):

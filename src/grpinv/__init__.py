@@ -46,7 +46,6 @@ from .enumeration import (
 from .errors import (
     ConvergenceError,
     DomainError,
-    EnumerationTimeout,
     InvalidGroupError,
     InvariantViolationError,
     NoIdentityError,

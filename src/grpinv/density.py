@@ -312,13 +312,15 @@ def approximate_beta(
     product stays >= target, and stops once the exact distance to the
     target is within eps.  Raises :class:`ConvergenceError` carrying the
     best selection when the prime cap is exhausted first, and, before any
-    sieving, :class:`DomainError` when ``prime_cap`` is not an integer and
-    :class:`ResourceLimitError` when it exceeds ``MAX_PRIME_CAP``.
+    sieving, :class:`DomainError` when ``prime_cap`` is not an integer
+    >= 0 and :class:`ResourceLimitError` when it exceeds ``MAX_PRIME_CAP``.
     """
     try:
         prime_cap = operator.index(prime_cap)
     except TypeError:
         raise DomainError(f"prime cap must be an integer, got {prime_cap!r}") from None
+    if prime_cap < 0:
+        raise DomainError(f"prime cap must be >= 0, got {prime_cap}")
     if prime_cap > MAX_PRIME_CAP:
         raise ResourceLimitError(
             f"prime cap {prime_cap} exceeds the ceiling {MAX_PRIME_CAP}"

@@ -50,7 +50,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, EnumerationTimeout, ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 from .fork import fan_out
 from .groups import TABLE_DTYPE, FiniteGroup, _freeze
 from .iso import are_isomorphic, fingerprint
@@ -124,13 +124,7 @@ def _check_order(n: int, enum_cap: int) -> None:
         raise ResourceLimitError(f"order {n} exceeds the enumeration cap {enum_cap}")
 
 
-class _TimeoutSignal(Exception):
-    pass
-
-
-def _search_tables(
-    n: int, *, deadline: float | None = None, claim: Callable[[], int] | None = None
-):
+def _search_tables(n: int, *, claim: Callable[[], int] | None = None):
     """Yield completed flat group tables.
 
     The partial table is kept as ``n`` row lists ``T[a][b]``, -1 for an
@@ -268,8 +262,6 @@ def _search_tables(
         # checked by the Lagrange cut once each, carrying their maximum
         # label down as ``top``.
         nonlocal introduced, frontier, ticket
-        if deadline is not None and time.monotonic() > deadline:
-            raise _TimeoutSignal
         while ci < total_cells:
             a, b = cells[ci]
             if T[a][b] < 0:
@@ -314,46 +306,34 @@ def _search_tables(
     yield from descend(0, 0, 0, 0)
 
 
-def _dedup_classes(
-    groups: list[FiniteGroup], deadline: float | None = None
-) -> tuple[list[FiniteGroup], bool]:
+def _dedup_classes(groups: list[FiniteGroup]) -> list[FiniteGroup]:
     """Collapse ``groups`` to one per isomorphism class, keeping the group
     with the lexicographically least flat table of each class.
 
-    Returns the classes and whether the deadline cut the pass short; the
-    classes are then those deduplicated before it passed.  ``groups`` is
-    emptied as it is read, so a group that joins no class is freed, with
-    its memo, once it has been compared.
+    ``groups`` is emptied as it is read, so a group that joins no class is
+    freed, with its memo, once it has been compared.
     """
     # Big-endian cells order as numbers do, so the groups are taken in
     # ascending order of table, and each bucket is too.
     groups.sort(key=lambda G: G.table.astype(">i2").tobytes(), reverse=True)
     buckets: dict[tuple, list[FiniteGroup]] = {}
-    timed_out = False
     while groups:
-        if deadline is not None and time.monotonic() > deadline:
-            timed_out = True
-            break
         G = groups.pop()
         bucket = buckets.setdefault(fingerprint(G).sort_key(), [])
         if not any(are_isomorphic(existing, G) for existing in bucket):
             bucket.append(G)
-    return [G for key in sorted(buckets) for G in buckets[key]], timed_out
+    return [G for key in sorted(buckets) for G in buckets[key]]
 
 
-def _search_share(n: int, deadline: float | None, claim: Callable[[], int]):
+def _search_share(n: int, claim: Callable[[], int]):
     """Search the subtrees ``claim`` hands out and dedup their tables:
-    ``(tables explored, classes, timed out)``."""
-    tables: list[FiniteGroup] = []
-    timed_out = False
-    try:
-        for flat in _search_tables(n, deadline=deadline, claim=claim):
-            tables.append(_freeze(np.array(flat, dtype=TABLE_DTYPE).reshape(n, n)))
-    except _TimeoutSignal:
-        timed_out = True
+    ``(tables explored, classes)``."""
+    tables = [
+        _freeze(np.array(flat, dtype=TABLE_DTYPE).reshape(n, n))
+        for flat in _search_tables(n, claim=claim)
+    ]
     explored = len(tables)
-    groups, dedup_timed_out = _dedup_classes(tables, deadline)
-    return explored, groups, timed_out or dedup_timed_out
+    return explored, _dedup_classes(tables)
 
 
 def enumerate_groups(
@@ -361,19 +341,17 @@ def enumerate_groups(
     *,
     enum_cap: int = DEFAULT_ENUM_CAP,
     workers: int = 1,
-    timeout: float | None = None,
 ) -> EnumerationResult:
     """All isomorphism classes of groups of order n, exhaustively.
 
     The output (class representatives and their order) is deterministic;
     ``tables_explored`` counts the complete tables generated before
-    deduplication.  ``timeout`` bounds search and deduplication together;
-    when it passes, :class:`EnumerationTimeout` carries a partial result
-    with the tables found and the classes deduplicated before the
-    deadline.  ``workers`` (an integer >= 1, clamped to the CPUs this
+    deduplication.  ``workers`` (an integer >= 1, clamped to the CPUs this
     process may run on) processes search and deduplicate, this one and
     ``workers - 1`` forked children, all reaped before this returns or
-    raises; the output does not depend on it.
+    raises; the output does not depend on it.  ``n`` and ``workers`` are
+    checked before any search or fork, and nothing limits the search
+    once it runs.
     """
     _check_order(n, enum_cap)
     try:
@@ -383,24 +361,14 @@ def enumerate_groups(
     if processes < 1:
         raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
     start = time.monotonic()
-    deadline = start + timeout if timeout is not None else None
-    shares = fan_out(partial(_search_share, n, deadline), processes)
-    explored, kept, timed_out = zip(*shares)
-    # No deadline: the merge is over a few groups per class and process,
-    # and a partial result holds every class some process finished.
-    groups, _ = _dedup_classes([G for share in kept for G in share])
-    elapsed = time.monotonic() - start
-    result = EnumerationResult(
+    explored, kept = zip(*fan_out(partial(_search_share, n), processes))
+    groups = _dedup_classes([G for share in kept for G in share])
+    return EnumerationResult(
         order=n,
         groups=tuple(groups),
         tables_explored=sum(explored),
-        elapsed=elapsed,
+        elapsed=time.monotonic() - start,
     )
-    if any(timed_out):
-        raise EnumerationTimeout(
-            f"enumeration of order {n} timed out after {timeout}s", partial=result
-        )
-    return result
 
 
 _UPTO_CACHE: dict[int, EnumerationResult] = {}

@@ -17,14 +17,6 @@ class ResourceLimitError(RuntimeError):
     """A configured cap (table size, enumeration order, prime bound) was hit."""
 
 
-class EnumerationTimeout(ResourceLimitError):
-    """Search ran out of time; ``partial`` holds the classes found so far."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
 class ConvergenceError(ResourceLimitError):
     """The greedy approximation hit its prime cap; ``best`` holds the closest
     selection reached before giving up."""

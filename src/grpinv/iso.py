@@ -37,7 +37,14 @@ from functools import partial
 import numpy as np
 
 from .arith import euler_phi
-from .groups import FiniteGroup, _orders, _per_group, _powers, invariants
+from .groups import (
+    FiniteGroup,
+    _orders,
+    _per_group,
+    _powers,
+    invariants,
+    is_elementary_abelian_2,
+)
 
 __all__ = [
     "IsoFingerprint",
@@ -270,19 +277,13 @@ def _families(n: int):
         families.append((f"Dic{n}", cyclic(n // 2) + Counter({4: n // 2}), dicyclic))
     if n > 1 and n & (n - 1) == 0:
         name = "x".join(["Z2"] * (n.bit_length() - 1))
-        families.append((name, Counter({1: 1, 2: n - 1}), _is_elementary_abelian_2))
+        families.append((name, Counter({1: 1, 2: n - 1}), is_elementary_abelian_2))
     return families
 
 
 def _is_cyclic(G: FiniteGroup) -> bool:
     """An element of order n generates G."""
     return bool((_orders(G) == G.order).any())
-
-
-def _is_elementary_abelian_2(G: FiniteGroup) -> bool:
-    """x*x = e for every x, so xy = (xy)^-1 = yx: G is a vector space over
-    F_2, of dimension k for |G| = 2^k."""
-    return not np.diagonal(G.table).any()
 
 
 def _is_inverted_cyclic(G: FiniteGroup, square: int) -> bool:
@@ -313,8 +314,9 @@ def identify(G: FiniteGroup) -> str | None:
     at their own order, in G's own table: no candidate table is built and
     no search runs.  A family whose closed-form order histogram differs
     from G's is rejected first.  Otherwise the family's defining relations
-    are checked on G: Z_n needs an element of order n and Z2^k a diagonal
-    of e.  For D_n and Dic_n, a is the least index of order n/2, A its
+    are checked on G: Z_n needs an element of order n and Z2^k every
+    element an involution, so xy = (xy)^-1 = yx and G is a vector space
+    over F_2.  For D_n and Dic_n, a is the least index of order n/2, A its
     powers and b the least index outside A: |A| = n/2 and b not in A
     make <a, b> larger than A, so a and b generate G.  D_n needs
     b^2 = (ba)^2 = e, and Dic_n b^2 = a^(n/4) and (ba)^2 = b^2.  G is then

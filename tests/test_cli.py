@@ -116,6 +116,34 @@ def test_enumerate_machine_schema(capsys):
         assert INVARIANT_KEYS - {"group"} <= set(r)
 
 
+# SHA-256 of the `--format machine enumerate ...` stdout: however the
+# census searches and deduplicates, its classes and their order must not move.
+@pytest.mark.parametrize(
+    "args, stdout",
+    [
+        (
+            ["enumerate", "12"],
+            "2aff0a28ba183ab343ec159fe710029e908e7ea35ee90f2d95bdddb48557c3be",
+        ),
+        (
+            ["enumerate", "16"],
+            "6dc5efa7c61fb140e007bb311918e68daf466db227bdf6a51d3d1ec55cf8c42f",
+        ),
+        pytest.param(
+            ["--enum-cap", "20", "enumerate", "20"],
+            "19a109ec4059126d871defde0f10cf3b2c4fbf030e7a8260cce7226dadcb4fa5",
+            marks=pytest.mark.slow,
+        ),
+    ],
+    ids=["order12", "order16", "order20"],
+)
+def test_enumerate_machine_output_is_pinned(capsys, args, stdout):
+    assert run(["--format", "machine", *args]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == stdout
+    assert captured.err == ""
+
+
 def test_enumerate_runs_a_process_per_cpu_it_may_use(capsys, monkeypatch):
     from grpinv import cli
 
@@ -700,6 +728,18 @@ def test_verify_refuses_a_bound_below_one_before_any_work(monkeypatch, capsys):
         value = argv[argv.index(flag) + 1]
         assert captured.out == "", argv
         assert captured.err == f"error: {flag} must be >= 1, got {value}\n", argv
+
+
+def test_a_negative_prime_cap_is_a_usage_error(capsys):
+    argv = ["approx-beta", "0.5", "--eps", "0.001", "--prime-cap", "-5"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: prime cap must be >= 0, got -5\n"
+    # A cap with no odd prime below it is in range: the greedy exhausts it.
+    for cap in ("0", "1", "2"):
+        assert run([*argv[:-1], cap]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_exit_resource_errors(capsys):

@@ -216,6 +216,17 @@ def test_prime_cap_must_be_an_integer(monkeypatch, prime_cap):
         approximate_beta(Fraction(1, 2), Fraction(1, 1000), prime_cap=prime_cap)
 
 
+@pytest.mark.parametrize("prime_cap", [-1, -5])
+def test_a_negative_prime_cap_is_refused_before_any_sieve(monkeypatch, prime_cap):
+    def refuse(*args):
+        raise AssertionError("primes were sieved")
+
+    monkeypatch.setattr(density, "_primes_upto", refuse)
+    monkeypatch.setattr(density, "_log_series", refuse)
+    with pytest.raises(DomainError, match=f"^prime cap must be >= 0, got {prime_cap}$"):
+        approximate_beta(Fraction(1, 2), Fraction(1, 1000), prime_cap=prime_cap)
+
+
 def test_exponent_reduction_matches_selection_beta(monkeypatch):
     primes = list(iter_odd_primes(2 * 10**5))
     cut = density._EXPONENT_ROUTE_MIN

@@ -3,20 +3,13 @@ import itertools
 import os
 import threading
 import time
-import types
 
-import numpy as np
 import pytest
 
 from grpinv import enumeration, fork, iso
 from grpinv.catalog import builtin_catalog
-from grpinv.enumeration import (
-    EnumerationResult,
-    all_groups_upto,
-    enumerate_groups,
-    known_census,
-)
-from grpinv.errors import DomainError, EnumerationTimeout, ResourceLimitError
+from grpinv.enumeration import all_groups_upto, enumerate_groups, known_census
+from grpinv.errors import DomainError, ResourceLimitError
 from grpinv.groups import invariants, make_dicyclic, verify_axioms
 from grpinv.iso import are_isomorphic, fingerprint, identify
 
@@ -201,49 +194,10 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
-def test_no_child_outlives_a_return_or_a_timeout(two_cpus, monkeypatch):
+def test_no_child_outlives_a_return(two_cpus):
     full = enumerate_groups(16)
     assert enumerate_groups(16, workers=2).tables_explored == full.tables_explored
     _assert_no_child_left()
-    with pytest.raises(EnumerationTimeout) as exc_info:
-        enumerate_groups(16, workers=2, timeout=0.0)
-    assert exc_info.value.partial.tables_explored == 0
-    _assert_no_child_left()
-    # Every process reads its own copy of a clock that ticks once per
-    # reading, so each passes the deadline a few hundred nodes into its
-    # share, and deduplicates nothing.
-    clock = itertools.count()
-    monkeypatch.setattr(enumeration, "time", types.SimpleNamespace(monotonic=clock.__next__))
-    with pytest.raises(EnumerationTimeout) as exc_info:
-        enumerate_groups(16, workers=2, timeout=1000)
-    _assert_no_child_left()
-    assert 0 < exc_info.value.partial.tables_explored < full.tables_explored
-    # Now the clock stands still until a process's search ends and then
-    # ticks once per reading, so each process keeps the classes of its
-    # first three tables and the partial result merges them.
-    clock = {"now": 0.0, "tick": 0.0}
-
-    def monotonic():
-        clock["now"] += clock["tick"]
-        return clock["now"]
-
-    real_search = enumeration._search_tables
-
-    def search_then_tick(*args, **kwargs):
-        yield from real_search(*args, **kwargs)
-        clock["tick"] = 1.0
-
-    monkeypatch.setattr(enumeration, "time", types.SimpleNamespace(monotonic=monotonic))
-    monkeypatch.setattr(enumeration, "_search_tables", search_then_tick)
-    with pytest.raises(EnumerationTimeout) as exc_info:
-        enumerate_groups(16, workers=2, timeout=3.0)
-    _assert_no_child_left()
-    partial = exc_info.value.partial
-    assert partial.tables_explored == full.tables_explored
-    assert 0 < len(partial.groups) < len(full.groups)
-    for G in partial.groups:
-        assert sum(are_isomorphic(G, H) is not None for H in full.groups) == 1
-        assert sum(are_isomorphic(G, H) is not None for H in partial.groups) == 1
 
 
 def test_a_fan_out_builds_each_chain_once(two_cpus, monkeypatch):
@@ -353,41 +307,6 @@ def test_cap_holds_after_cached_enumeration():
     all_groups_upto(12)
     with pytest.raises(ResourceLimitError):
         all_groups_upto(12, enum_cap=8)
-
-
-def test_timeout_carries_partial_progress():
-    with pytest.raises(EnumerationTimeout) as exc_info:
-        enumerate_groups(12, timeout=0.0)
-    partial = exc_info.value.partial
-    assert isinstance(partial, EnumerationResult)
-    assert partial.order == 12
-
-
-def test_timeout_covers_dedup(monkeypatch):
-    full = enumerate_groups(12)
-    # The clock stands still during the search and ticks one second per
-    # reading afterwards, so the deadline passes three tables into dedup.
-    clock = {"now": 0.0, "tick": 0.0}
-
-    def monotonic():
-        clock["now"] += clock["tick"]
-        return clock["now"]
-
-    real_search = enumeration._search_tables
-
-    def search_then_tick(*args, **kwargs):
-        yield from real_search(*args, **kwargs)
-        clock["tick"] = 1.0
-
-    monkeypatch.setattr(enumeration, "time", types.SimpleNamespace(monotonic=monotonic))
-    monkeypatch.setattr(enumeration, "_search_tables", search_then_tick)
-    with pytest.raises(EnumerationTimeout) as exc_info:
-        enumerate_groups(12, timeout=3.0)
-    partial = exc_info.value.partial
-    assert partial.tables_explored == full.tables_explored
-    assert 0 < len(partial.groups) < len(full.groups)
-    for G in partial.groups:
-        assert any(np.array_equal(G.table, H.table) for H in full.groups)
 
 
 def test_census_orders_13_to_15():

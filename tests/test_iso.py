@@ -560,7 +560,7 @@ def test_identify_checks_only_the_family_with_g_histogram(monkeypatch):
         return recording
 
     _refuse_builds(monkeypatch, "grpinv.groups", *FAMILY_BUILDERS)
-    for name in ("_is_cyclic", "_is_inverted_cyclic", "_is_elementary_abelian_2"):
+    for name in ("_is_cyclic", "_is_inverted_cyclic", "is_elementary_abelian_2"):
         monkeypatch.setattr(iso, name, spy(getattr(iso, name)))
     assert identify(G) == "D4092"
     assert checked == [("_is_inverted_cyclic", {"square": 0})]
